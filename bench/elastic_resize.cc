@@ -43,7 +43,6 @@ sim::FailureSimConfig elastic_config(std::uint64_t seed, bool replan) {
   cfg.failures =
       failure::FailureSpec::from_total(bench::smoke_pick(0.03, 0.02));
   cfg.checkpoint_interval = 40.0;
-  cfg.base_cores = 4;
   cfg.resizes = {{50.0, bench::smoke_pick<std::uint64_t>(16, 8)}};
   cfg.replan_on_resize = replan;
   cfg.seed = seed;

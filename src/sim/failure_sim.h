@@ -39,8 +39,6 @@ struct FailureSimConfig {
   /// correctness and model validation, not adaptivity).
   double checkpoint_interval = 30.0;
   std::uint64_t seed = 1;
-  /// Abort guard: give up if the wall clock exceeds this.
-  double max_wall = 1e7;
   /// Run the L2/L3 placements through a real MultiLevelStore drain engine
   /// (chunked transfers in virtual time) instead of the analytic
   /// c2/c3 landing-time formulas. Failures then strike *during* drains:
@@ -64,25 +62,22 @@ struct FailureSimConfig {
   int xfer_max_attempts_override = 0;
   /// Elastic job: core-count reconfigurations keyed on workload progress.
   /// Non-empty turns the benchmark into an ElasticWorkload over the same
-  /// profile; at every resize the simulator re-derives the cost model
-  /// (local/compress/RAID bandwidth scale with the width, the per-node
-  /// remote share does not), rescales the failure exposure (lambda ∝
-  /// cores), and — with replan_on_resize — re-solves the AIC work span
-  /// w_L* on the adaptive interval model. Analytic variant only: requires
+  /// profile (ElasticProfile's default base width and migration burst); at
+  /// every resize the simulator re-derives the cost model (local/compress/
+  /// RAID bandwidth scale with the width, the per-node remote share does
+  /// not), rescales the failure exposure (lambda ∝ cores), and — with
+  /// replan_on_resize — re-solves the AIC work span w_L* on the adaptive
+  /// interval model. Analytic placement only: requires
   /// use_transfer_engine == false.
   std::vector<workload::ResizeEvent> resizes;
-  /// Core allocation the benchmark's profile is calibrated at.
-  std::uint64_t base_cores = 4;
-  /// Fraction of the post-resize footprint the migration burst rewrites.
-  double migrate_fraction = 0.25;
   /// Re-plan the checkpoint interval after every reconfiguration (and
   /// after a rollback that reverts one). Off = keep the static interval —
   /// the no-replan ablation.
   bool replan_on_resize = true;
   /// Bounded-regret retention: live-checkpoint budget of the chain's
   /// RewindWindow (0 = keep every checkpoint). Pruned checkpoints are
-  /// reclaimed from the MultiLevelStore in the transfer-engine variant and
-  /// dropped from the landing-time bookkeeping in the analytic one.
+  /// reclaimed from the MultiLevelStore under the transfer engine and
+  /// dropped from the landing-time bookkeeping under analytic placement.
   std::size_t rewind_budget = 0;
 };
 

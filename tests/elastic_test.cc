@@ -154,7 +154,6 @@ FailureSimConfig elastic_sim_config(std::uint64_t seed) {
   cfg.checkpoint_interval = 10.0;
   cfg.seed = seed;
   cfg.resizes = {{40.0, 8}, {90.0, 2}};
-  cfg.base_cores = 4;
   return cfg;
 }
 
