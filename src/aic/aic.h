@@ -12,9 +12,11 @@
 //               replay, chain management with failure rollback
 //   xfer/       chunked transfer engine: simulated channels (bandwidth
 //               sharing, injectable faults), retry/backoff state machine,
-//               staged atomic commits, interrupt/resume of drains
+//               interrupt/resume of drains
 //   storage/    local disk / RAID-5 partner group / remote store models,
-//               glued to the transfer engine by MultiLevelStore
+//               glued to the transfer engine by MultiLevelStore (staged
+//               atomic commits through StagedTargetSink) and to the chain
+//               by AsyncCheckpointer's worker-thread core
 //   failure/    per-level exponential failure processes
 //   model/      Markov interval models (L1L3, L2L3, L1L2L3), the Moody
 //               baseline, NET^2, optimizers (grid + Newton–Raphson)
@@ -30,7 +32,6 @@
 //               invariants
 #pragma once
 
-#include "ckpt/async_checkpointer.h"
 #include "ckpt/checkpoint_file.h"
 #include "ckpt/checkpointer.h"
 #include "common/bytes.h"
@@ -65,13 +66,14 @@
 #include "predictor/regression.h"
 #include "sim/chain_sim.h"
 #include "sim/failure_sim.h"
+#include "storage/async_checkpointer.h"
 #include "storage/multilevel_store.h"
+#include "storage/staged_sink.h"
 #include "storage/storage.h"
 #include "trace/lanl_trace.h"
 #include "verify/chain_verifier.h"
 #include "workload/workload.h"
 #include "xfer/channel.h"
 #include "xfer/scheduler.h"
-#include "xfer/staged_sink.h"
 #include "xfer/stats.h"
 #include "xfer/transfer.h"

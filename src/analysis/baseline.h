@@ -14,8 +14,8 @@
 //
 //   {"schema": "aic-lint-baseline-v1",
 //    "suppressions": [
-//      {"rule": "layer-cycle", "path": "src/ckpt/async_checkpointer.h",
-//       "fingerprint": "ckpt+storage+xfer", "reason": "..."}]}
+//      {"rule": "layer-edge", "path": "src/xfer/sink.h",
+//       "fingerprint": "xfer->storage:storage/storage.h", "reason": "..."}]}
 #pragma once
 
 #include <string>

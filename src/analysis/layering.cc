@@ -5,10 +5,6 @@
 namespace aic::analysis {
 
 const std::map<std::string, std::set<std::string>>& layering_policy() {
-  // Target architecture. Legacy deviations (ckpt -> storage, xfer ->
-  // storage, and the resulting ckpt/storage/xfer cycle) are carried in the
-  // suppression baseline, not legalized here — the policy states where the
-  // tree is going, the baseline states where it still is.
   static const std::map<std::string, std::set<std::string>> kPolicy = {
       {"common", {}},
       {"obs", {"common"}},
@@ -21,7 +17,7 @@ const std::map<std::string, std::set<std::string>>& layering_policy() {
       {"delta", {"common", "mem", "obs"}},
       {"predictor", {"common", "mem", "obs"}},
       {"xfer", {"common", "obs"}},
-      {"storage", {"common", "obs", "ckpt", "xfer"}},
+      {"storage", {"common", "obs", "mem", "ckpt", "xfer"}},
       {"ckpt", {"common", "delta", "mem", "obs"}},
       {"verify", {"common", "ckpt", "delta", "xfer"}},
       {"control", {"common", "ckpt", "model", "obs", "predictor", "workload"}},

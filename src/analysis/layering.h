@@ -12,8 +12,7 @@
 //                layers (`sim`/`xfer`).
 //   layer-cycle  the *actual* edge set must be acyclic. Cycles are reported
 //                per strongly connected component with a concrete path, so
-//                a violation names the edges to break (legacy cycles live in
-//                the suppression baseline until burned down).
+//                a violation names the edges to break.
 //
 // Violations name the offending edge, the file and include that create it,
 // and (for cycles) a path through the component.

@@ -31,9 +31,9 @@
 
 #include "ckpt/checkpoint_file.h"
 #include "common/rng.h"
+#include "storage/staged_sink.h"
 #include "storage/storage.h"
 #include "xfer/scheduler.h"
-#include "xfer/staged_sink.h"
 
 namespace aic::storage {
 
@@ -147,8 +147,8 @@ class MultiLevelStore {
   xfer::TransferScheduler& xfer() { return xfer_; }
   const xfer::TransferScheduler& xfer() const { return xfer_; }
   /// Staged (in-progress) partials per level, for diagnostics and tests.
-  const xfer::StagedTargetSink& raid_staging() const { return raid_sink_; }
-  const xfer::StagedTargetSink& remote_staging() const {
+  const StagedTargetSink& raid_staging() const { return raid_sink_; }
+  const StagedTargetSink& remote_staging() const {
     return remote_sink_;
   }
 
@@ -171,8 +171,8 @@ class MultiLevelStore {
   LocalDisk local_;
   Raid5Group raid_;
   RemoteStore remote_;
-  xfer::StagedTargetSink raid_sink_;
-  xfer::StagedTargetSink remote_sink_;
+  StagedTargetSink raid_sink_;
+  StagedTargetSink remote_sink_;
   xfer::TransferScheduler xfer_;
   std::uint64_t next_index_ = 0;
   /// index -> is this a full checkpoint (chain boundaries).

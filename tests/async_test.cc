@@ -1,4 +1,4 @@
-// Tests for the concurrent checkpointing core (ckpt::AsyncCheckpointer):
+// Tests for the concurrent checkpointing core (storage::AsyncCheckpointer):
 // the application keeps mutating while the worker compresses; restores
 // must reflect exactly the state at each submit, never the in-flight
 // mutations.
@@ -7,12 +7,12 @@
 #include <atomic>
 #include <cstring>
 
-#include "ckpt/async_checkpointer.h"
 #include "common/rng.h"
 #include "mem/snapshot.h"
+#include "storage/async_checkpointer.h"
 #include "workload/workload.h"
 
-namespace aic::ckpt {
+namespace aic::storage {
 namespace {
 
 void random_fill(mem::AddressSpace& space, mem::PageId id, Rng& rng) {
@@ -101,7 +101,7 @@ TEST(AsyncCheckpointer, CompletionCarriesCompressionAccounting) {
   std::atomic<std::uint64_t> kinds_full{0};
   AsyncCheckpointer::Config cfg;
   cfg.on_complete = [&](const AsyncResult& r) {
-    if (r.stats.kind == CheckpointKind::kFull) ++kinds_full;
+    if (r.stats.kind == ckpt::CheckpointKind::kFull) ++kinds_full;
     delta_bytes += r.stats.file_bytes;
   };
   AsyncCheckpointer async(std::move(cfg));
@@ -143,7 +143,7 @@ TEST(AsyncCheckpointer, PeriodicFullSchedule) {
   AsyncCheckpointer::Config cfg;
   cfg.chain.full_period = 2;  // full, inc, inc, full, inc, inc, ...
   cfg.on_complete = [&](const AsyncResult& r) {
-    fulls += (r.stats.kind == CheckpointKind::kFull);
+    fulls += (r.stats.kind == ckpt::CheckpointKind::kFull);
   };
   AsyncCheckpointer async(std::move(cfg));
   Rng rng(5);
@@ -156,4 +156,4 @@ TEST(AsyncCheckpointer, PeriodicFullSchedule) {
 }
 
 }  // namespace
-}  // namespace aic::ckpt
+}  // namespace aic::storage

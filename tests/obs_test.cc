@@ -17,7 +17,6 @@
 #include <thread>
 #include <vector>
 
-#include "ckpt/async_checkpointer.h"
 #include "common/check.h"
 #include "common/rng.h"
 #include "failure/failure.h"
@@ -29,6 +28,7 @@
 #include "obs/report.h"
 #include "obs/trace.h"
 #include "sim/failure_sim.h"
+#include "storage/async_checkpointer.h"
 
 // ---------------------------------------------------------------------------
 // Heap instrumentation for the overhead guard here and the restore-memory
@@ -700,9 +700,9 @@ TEST(ObsTest, AsyncCheckpointerEmitsCaptureCompressSpans) {
       for (auto& x : b) x = std::uint8_t(rng());
     });
   }
-  ckpt::AsyncCheckpointer::Config cfg;
+  storage::AsyncCheckpointer::Config cfg;
   cfg.chain.obs = &hub;
-  ckpt::AsyncCheckpointer async(std::move(cfg));
+  storage::AsyncCheckpointer async(std::move(cfg));
   async.submit(space, {}, 0.0);
   space.write(2, 0, Bytes{1, 2, 3});
   async.submit(space, {}, 1.0);

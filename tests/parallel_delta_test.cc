@@ -9,7 +9,7 @@
 #include <cstring>
 #include <vector>
 
-#include "ckpt/async_checkpointer.h"
+#include "storage/async_checkpointer.h"
 #include "ckpt/checkpointer.h"
 #include "common/check.h"
 #include "common/rng.h"
@@ -348,9 +348,9 @@ TEST(UnchangedFastPath, RoundTripsThroughAsyncCheckpointer) {
       for (auto& x : b) x = std::uint8_t(rng());
     });
   }
-  ckpt::AsyncCheckpointer::Config cfg;
+  storage::AsyncCheckpointer::Config cfg;
   cfg.chain.compress_workers = 4;
-  ckpt::AsyncCheckpointer async(std::move(cfg));
+  storage::AsyncCheckpointer async(std::move(cfg));
   async.submit(space, {}, 0.0);
 
   // Interval 1: one identical rewrite + one real edit.

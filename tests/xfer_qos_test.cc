@@ -13,9 +13,9 @@
 
 #include "common/rng.h"
 #include "storage/multilevel_store.h"
+#include "storage/staged_sink.h"
 #include "xfer/channel.h"
 #include "xfer/scheduler.h"
-#include "xfer/staged_sink.h"
 
 namespace aic::xfer {
 namespace {
@@ -29,7 +29,7 @@ Bytes pattern_bytes(std::size_t n, std::uint64_t seed) {
 
 struct Harness {
   storage::RemoteStore target{1.0e9};  // publication put is not the wire
-  StagedTargetSink sink{target};
+  storage::StagedTargetSink sink{target};
   TransferScheduler sched;
 
   explicit Harness(TransferScheduler::Config cfg = {},

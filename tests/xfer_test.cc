@@ -12,15 +12,15 @@
 #include <string>
 #include <vector>
 
-#include "ckpt/async_checkpointer.h"
 #include "ckpt/checkpointer.h"
 #include "common/rng.h"
 #include "mem/snapshot.h"
+#include "storage/async_checkpointer.h"
 #include "storage/multilevel_store.h"
+#include "storage/staged_sink.h"
 #include "verify/chain_verifier.h"
 #include "xfer/channel.h"
 #include "xfer/scheduler.h"
-#include "xfer/staged_sink.h"
 
 namespace aic::xfer {
 namespace {
@@ -82,7 +82,7 @@ TEST(XferChannel, ScriptedFaultsApplyInFifoOrder) {
 // A scheduler + remote-store sink harness used by most scheduler tests.
 struct Harness {
   storage::RemoteStore target{1.0e9};  // publication put is not the wire
-  StagedTargetSink sink{target};
+  storage::StagedTargetSink sink{target};
   TransferScheduler sched;
 
   explicit Harness(TransferScheduler::Config cfg = {},
@@ -408,13 +408,13 @@ TEST(XferConcurrentAsyncDrain, WorkerDrainsWhileAppSubmits) {
 
   std::atomic<int> compressed{0};
   std::atomic<int> landed{0};
-  ckpt::AsyncCheckpointer::Config cfg;
+  storage::AsyncCheckpointer::Config cfg;
   cfg.store = &store;
-  cfg.on_complete = [&](const ckpt::AsyncResult& r) {
+  cfg.on_complete = [&](const storage::AsyncResult& r) {
     EXPECT_FALSE(r.landed);
     ++compressed;
   };
-  cfg.on_landed = [&](const ckpt::AsyncResult& r) {
+  cfg.on_landed = [&](const storage::AsyncResult& r) {
     EXPECT_TRUE(r.landed);
     EXPECT_GT(r.placement.remote, 0.0);
     ++landed;
@@ -424,7 +424,7 @@ TEST(XferConcurrentAsyncDrain, WorkerDrainsWhileAppSubmits) {
   space.allocate_range(0, 64);
   Rng rng(17);
   {
-    ckpt::AsyncCheckpointer async(std::move(cfg));
+    storage::AsyncCheckpointer async(std::move(cfg));
     for (int c = 0; c < 5; ++c) {
       for (mem::PageId id = 0; id < 64; id += 3) {
         space.mutate(id, [&](std::span<std::uint8_t> b) {
