@@ -31,8 +31,14 @@ namespace {
 
 using namespace aic;
 
-// File-local metric names for the telemetry kernels (the obs-name-literal
-// rule's sanctioned form for bench-only instruments).
+// File-local metric names for the bench-only instruments (the
+// obs-name-literal rule's sanctioned form).
+constexpr const char* kBenchCounter = "bench.counter";
+constexpr const char* kBenchGauge = "bench.gauge";
+constexpr const char* kBenchHisto = "bench.histogram";
+constexpr const char* kBenchKernelPages = "bench.kernel.pages";
+constexpr const char* kBenchKernelBytes = "bench.kernel.bytes";
+constexpr const char* kBenchKernelPageSum = "bench.kernel.page_sum";
 constexpr const char* kBenchTelCounter = "bench.tel.events";
 constexpr const char* kBenchTelGauge = "bench.tel.depth";
 constexpr const char* kBenchTelHisto = "bench.tel.latency";
@@ -43,7 +49,7 @@ constexpr const char* kBenchTelSeries = "bench.tel.depth";
 
 void BM_CounterAdd(benchmark::State& state) {
   obs::MetricsRegistry reg;
-  obs::Counter* c = reg.counter("bench.counter");
+  obs::Counter* c = reg.counter(kBenchCounter);
   for (auto _ : state) {
     c->add();
   }
@@ -53,7 +59,7 @@ BENCHMARK(BM_CounterAdd);
 
 void BM_GaugeSet(benchmark::State& state) {
   obs::MetricsRegistry reg;
-  obs::Gauge* g = reg.gauge("bench.gauge");
+  obs::Gauge* g = reg.gauge(kBenchGauge);
   double v = 0.0;
   for (auto _ : state) {
     g->set(v);
@@ -66,7 +72,7 @@ BENCHMARK(BM_GaugeSet);
 void BM_HistogramObserve(benchmark::State& state) {
   obs::MetricsRegistry reg;
   obs::Histogram* h = reg.histogram(
-      "bench.histogram", obs::Histogram::exponential_buckets(1e-6, 4.0, 16));
+      kBenchHisto, obs::Histogram::exponential_buckets(1e-6, 4.0, 16));
   double v = 1e-7;
   for (auto _ : state) {
     h->observe(v);
@@ -124,10 +130,10 @@ class InstrumentedScanner {
  public:
   explicit InstrumentedScanner(obs::Hub* hub) {
     if (hub != nullptr) {
-      m_pages_ = hub->metrics.counter("bench.kernel.pages");
-      m_bytes_ = hub->metrics.counter("bench.kernel.bytes");
+      m_pages_ = hub->metrics.counter(kBenchKernelPages);
+      m_bytes_ = hub->metrics.counter(kBenchKernelBytes);
       m_page_sum_ = hub->metrics.histogram(
-          "bench.kernel.page_sum",
+          kBenchKernelPageSum,
           obs::Histogram::exponential_buckets(1.0, 4.0, 16));
     }
   }
