@@ -23,7 +23,6 @@
 // stdout), 2 usage, I/O or parse error.
 #include <algorithm>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <map>
 #include <optional>
@@ -33,12 +32,14 @@
 
 #include "common/check.h"
 #include "common/table.h"
+#include "file_io.h"
 #include "obs/bench_diff.h"
 #include "obs/bench_record.h"
 
 namespace {
 
 namespace fs = std::filesystem;
+using aic::tools::read_file;
 
 int usage(const char* argv0) {
   std::cerr << "usage: " << argv0
@@ -46,15 +47,6 @@ int usage(const char* argv0) {
             << " <baseline> <current>\n"
             << "       " << argv0 << " --check <path>...\n";
   return 2;
-}
-
-std::optional<std::string> read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return std::nullopt;
-  std::ostringstream os;
-  os << in.rdbuf();
-  if (in.bad()) return std::nullopt;
-  return os.str();
 }
 
 /// Collects BENCH record paths keyed by filename: a directory contributes

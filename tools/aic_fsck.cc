@@ -19,25 +19,18 @@
 // aic_fsck, not repair, so it is deliberately NOT exit 1. Never crashes on
 // corrupt input — every fault surfaces as a printed diagnostic.
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
 
+#include "file_io.h"
 #include "verify/chain_verifier.h"
 
 namespace {
 
 namespace fs = std::filesystem;
 using aic::Bytes;
-
-bool read_file(const fs::path& path, Bytes& out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  out.assign(std::istreambuf_iterator<char>(in),
-             std::istreambuf_iterator<char>());
-  return !in.bad();
-}
+using aic::tools::read_file;
 
 int usage(const char* argv0) {
   std::cerr << "usage: " << argv0
@@ -110,12 +103,12 @@ int main(int argc, char** argv) {
   std::vector<Bytes> records;
   records.reserve(record_paths.size());
   for (const fs::path& path : record_paths) {
-    Bytes bytes;
-    if (!read_file(path, bytes)) {
+    const auto bytes = read_file(path);
+    if (!bytes) {
       std::cerr << "aic_fsck: cannot read " << path << "\n";
       return 2;
     }
-    records.push_back(std::move(bytes));
+    records.emplace_back(bytes->begin(), bytes->end());
   }
 
   const aic::verify::ChainVerifier verifier(options);

@@ -29,13 +29,12 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "analysis/analyzer.h"
 #include "common/check.h"
+#include "file_io.h"
 
 namespace {
 
@@ -45,21 +44,13 @@ using aic::analysis::Baseline;
 using aic::analysis::BaselineEntry;
 using aic::analysis::Finding;
 using aic::analysis::SourceFile;
+using aic::tools::read_file;
 
 int usage(const char* argv0) {
   std::cerr << "usage: " << argv0
             << " [--root DIR] [--baseline FILE | --no-baseline] [--json]"
             << " [--all] [--write-baseline FILE]\n";
   return 2;
-}
-
-std::optional<std::string> read_file(const fs::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return std::nullopt;
-  std::ostringstream os;
-  os << in.rdbuf();
-  if (in.bad()) return std::nullopt;
-  return os.str();
 }
 
 bool source_extension(const fs::path& p) {

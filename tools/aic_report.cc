@@ -20,10 +20,8 @@
 //
 // Exit status: 0 success, 1 malformed input, 2 usage or I/O error.
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <optional>
-#include <sstream>
 #include <string>
 
 #include "common/check.h"
@@ -31,6 +29,7 @@
 #include "control/cost_model.h"
 #include "control/experiment.h"
 #include "failure/failure.h"
+#include "file_io.h"
 #include "model/system_profile.h"
 #include "obs/export.h"
 #include "obs/report.h"
@@ -39,26 +38,14 @@
 
 namespace {
 
+using aic::tools::read_file;
+using aic::tools::write_file;
+
 int usage(const char* argv0) {
   std::cerr << "usage: " << argv0
             << " [--csv] <metrics.json> [chrome_trace.json]\n"
             << "       " << argv0 << " --demo [--out DIR]\n";
   return 2;
-}
-
-std::optional<std::string> read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return std::nullopt;
-  std::ostringstream os;
-  os << in.rdbuf();
-  if (in.bad()) return std::nullopt;
-  return os.str();
-}
-
-bool write_file(const std::string& path, const std::string& content) {
-  std::ofstream out(path, std::ios::binary);
-  out << content;
-  return bool(out);
 }
 
 int run_demo(const std::string& out_dir) {

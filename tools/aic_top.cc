@@ -23,7 +23,6 @@
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <map>
 #include <optional>
@@ -34,6 +33,7 @@
 #include <vector>
 
 #include "common/check.h"
+#include "file_io.h"
 #include "fleet/fleet_scheduler.h"
 #include "fleet/qos_policy.h"
 #include "obs/names.h"
@@ -49,6 +49,8 @@ using aic::obs::CausalSegment;
 using aic::obs::SamplePoint;
 using aic::obs::SloStatus;
 using aic::obs::TelemetryDoc;
+using aic::tools::read_file;
+using aic::tools::write_file;
 
 int usage(const char* argv0) {
   std::cerr << "usage: " << argv0
@@ -56,21 +58,6 @@ int usage(const char* argv0) {
             << "       " << argv0
             << " --demo [--jobs N] [--shards S] [--out DIR] [--top K]\n";
   return 2;
-}
-
-std::optional<std::string> read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return std::nullopt;
-  std::ostringstream os;
-  os << in.rdbuf();
-  if (in.bad()) return std::nullopt;
-  return os.str();
-}
-
-bool write_file(const std::string& path, const std::string& content) {
-  std::ofstream out(path, std::ios::binary);
-  out << content;
-  return bool(out);
 }
 
 /// 1234567.0 -> "1.2M" — compact engineering units for table cells.
