@@ -193,7 +193,7 @@ std::uint64_t CheckpointFile::serialized_size() const {
   return scratch.size() + cpu_state.size() + payload.size();
 }
 
-Bytes encode_raw_pages(const std::vector<std::pair<PageId, ByteSpan>>& pages) {
+Bytes encode_raw_pages(const std::vector<delta::DirtyPage>& pages) {
   Bytes out;
   out.reserve(pages.size() * (kPageSize + 4) + 8);
   ByteWriter w(out);

@@ -40,19 +40,14 @@ AsyncCheckpointer::~AsyncCheckpointer() {
 
 std::uint64_t AsyncCheckpointer::submit(mem::AddressSpace& space,
                                         ByteSpan cpu_state, double app_time) {
-  // Reading the chain's full-or-incremental decision is safe here: the
-  // schedule state only changes inside process(), and submit callers
-  // serialize with the worker through the queue (the decision for THIS job
-  // depends only on how many jobs precede it, which we know).
   std::unique_lock<std::mutex> lock(mutex_);
   const std::uint64_t sequence = next_sequence_++;
-  // Full-vs-incremental is a pure function of the sequence number under
-  // the chain's schedule (fulls at multiples of full_period + 1), so the
-  // submitter can decide what to snapshot without racing the worker.
-  const std::uint32_t period = config_.chain.full_period;
-  const bool full =
-      period == 0 ? sequence == 0 : sequence % (period + 1) == 0;
   lock.unlock();
+  // The chain's full schedule is a pure function of the sequence number
+  // (CheckpointChain::is_full), so the submitter decides what to snapshot
+  // without reading chain state the worker owns, and the worker's capture
+  // of this job makes the same decision.
+  const bool full = ckpt::CheckpointChain::is_full(config_.chain, sequence);
 
   // The blocking L1 step: this page-image capture is the one data copy the
   // paper charges as c1 — everything after it (compression, shipping) runs
@@ -81,7 +76,6 @@ std::uint64_t AsyncCheckpointer::submit(mem::AddressSpace& space,
           .cpu_state = Bytes(cpu_state.begin(), cpu_state.end()),
           .pages = std::move(pages),
           .live = std::move(live),
-          .full = full,
           .capture_s = capture_s};
   lock.lock();
   queue_.push_back(std::move(job));

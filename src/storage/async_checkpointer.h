@@ -114,7 +114,6 @@ class AsyncCheckpointer {
     Bytes cpu_state;
     mem::Snapshot pages;              // dirty (or full) page images
     std::vector<mem::PageId> live;    // live set at submit time
-    bool full = false;
     /// Wall seconds the blocking capture took (the c1 halt), measured in
     /// submit(); feeds the checkpoint's causal chain. 0 without a hub.
     double capture_s = 0.0;
@@ -138,7 +137,6 @@ class AsyncCheckpointer {
   // Chain state, owned by the worker after construction (the application
   // thread only reaches it via drain()+restore()).
   ckpt::CheckpointChain chain_;
-  std::vector<mem::PageId> last_live_;
 
   // Observability handles (config_.chain.obs; null when disabled). The
   // capture histogram is touched from the application thread, the compress

@@ -155,5 +155,45 @@ TEST(AsyncCheckpointer, PeriodicFullSchedule) {
   EXPECT_EQ(fulls.load(), 3);  // sequences 0, 3, 6
 }
 
+// A rewind window re-anchors pruned checkpoints' successors as fulls on the
+// worker; the submitter, which snapshots only the dirty set for an
+// incremental, cannot see that. The periodic-full cadence must therefore
+// stay a function of the sequence number alone, or the worker's capture
+// disagrees with what was snapshotted.
+TEST(AsyncCheckpointer, RewindReanchorsDoNotMoveTheFullCadence) {
+  for (std::uint32_t full_period = 1; full_period <= 4; ++full_period) {
+    for (std::size_t budget : {2, 3, 4, 5, 6, 8}) {
+      mem::AddressSpace space;
+      space.allocate_range(0, 16);
+      Rng rng(6 + budget);
+      for (mem::PageId id = 0; id < 16; ++id) random_fill(space, id, rng);
+      std::vector<std::uint64_t> full_sequences;  // worker thread only
+      AsyncCheckpointer::Config cfg;
+      cfg.chain.full_period = full_period;
+      cfg.chain.rewind_budget = budget;
+      cfg.on_complete = [&](const AsyncResult& r) {
+        if (r.stats.kind == ckpt::CheckpointKind::kFull)
+          full_sequences.push_back(r.sequence);
+      };
+      AsyncCheckpointer async(std::move(cfg));
+      mem::Snapshot at_last_submit;
+      for (int i = 0; i < 24; ++i) {
+        for (int e = 0; e < 3; ++e)
+          random_fill(space, rng.uniform_u64(16), rng);
+        at_last_submit = mem::Snapshot::capture(space);
+        async.submit(space, {}, double(i));
+      }
+      const auto restored = async.restore();  // drains first
+      std::vector<std::uint64_t> expected;
+      for (std::uint64_t seq = 0; seq < 24; seq += full_period + 1)
+        expected.push_back(seq);
+      EXPECT_EQ(full_sequences, expected)
+          << "full_period " << full_period << " budget " << budget;
+      EXPECT_TRUE(at_last_submit.equals_space(restored.memory.materialize()))
+          << "full_period " << full_period << " budget " << budget;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace aic::storage
