@@ -108,12 +108,6 @@ CoordinatedResult run_coordinated(Scheme scheme,
   // SIC: one static span from the estimate at a probe point.
   double w_static = 0.0;
   if (scheme == Scheme::kSic) {
-    // Probe pass on copies is expensive; estimate from a short dry segment
-    // of rank 0's profile via the adaptive model at mid-run conditions.
-    // Use the offline optimum for the aggregate estimate after a warmup
-    // interval of one cycle.
-    CoordinatedConfig probe_cfg = config;
-    (void)probe_cfg;
     // Cheap approximation: run one cycle, take the aggregate estimate.
     std::vector<Rank> probe(1);
     auto profile = proto;
@@ -126,7 +120,7 @@ CoordinatedResult run_coordinated(Scheme scheme,
     const auto est = aggregate_estimate(probe, base.costs);
     const auto best = model::minimize_scalar(
         [&](double w) { return model::net2_adaptive(sys, w, est, est); },
-        base.min_w, base.max_w, 24, 40);
+        kMinWorkSpan, kMaxWorkSpan, 24, 40);
     w_static = best.x;
   }
 
@@ -165,7 +159,8 @@ CoordinatedResult run_coordinated(Scheme scheme,
         return model::net2_adaptive(sys, w, cur, prev);
       };
       const auto best = model::extreme_value_minimum(
-          objective, base.min_w, base.max_w, std::max(elapsed, base.min_w));
+          objective, kMinWorkSpan, kMaxWorkSpan,
+          std::max(elapsed, kMinWorkSpan));
 
       c3_window.push_back(cur.c3);
       if (c3_window.size() > 40) c3_window.erase(c3_window.begin());

@@ -48,6 +48,11 @@ struct DecisionTrace {
   bool take = false;
 };
 
+/// Work-span search range of the deciders (seconds), shared by the
+/// failure-free and the coordinated runs.
+inline constexpr double kMinWorkSpan = 1.0;
+inline constexpr double kMaxWorkSpan = 1e5;
+
 struct ExperimentConfig {
   /// Failure rates used by the analytic models (the run itself is
   /// failure-free; failures enter through Eq. (1)).
@@ -55,24 +60,12 @@ struct ExperimentConfig {
   CostModel costs;
   /// AIC decision period (paper: one second).
   double decision_period = 1.0;
-  /// Bound the restart chain with a periodic full checkpoint; 0 (the
-  /// default, matching the paper's short-run evaluation) keeps only the
-  /// initial full — a mid-run full would monopolize the remote link for
-  /// the footprint/B3 transfer time.
-  std::uint32_t full_period = 0;
   predictor::SamplerConfig sampler;
   /// Delta-compression worker threads for the concurrent schemes' chains
   /// (ckpt::CheckpointChain::Config::compress_workers): 0 = auto
   /// (hardware_concurrency() - 1), 1 = serial. Results are byte-identical
   /// at any setting; only host wall-clock changes.
   unsigned compress_workers = 0;
-  /// Delta-compress with the one-pass correcting coder (cdelta records,
-  /// whole-page move detection, checkpoint format v3) instead of the
-  /// greedy per-page coder — the Table 3 "correcting" compressor row.
-  bool correcting_codec = false;
-  /// Work-span search range for the deciders.
-  double min_w = 1.0;
-  double max_w = 1e5;
   /// Workload scale factor (footprint & page rates).
   double workload_scale = 1.0;
   /// Optional per-decision diagnostics callback (AIC runs only).

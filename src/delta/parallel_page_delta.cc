@@ -18,7 +18,7 @@ ParallelPageCompressor::ParallelPageCompressor(Config config)
     : config_(config),
       workers_(config.workers == 0 ? common::ThreadPool::default_workers()
                                    : config.workers),
-      serial_(config.page_codec, config.correcting) {
+      serial_(PageAlignedCompressor::page_config(), config.correcting) {
   if (obs::Hub* hub = config_.obs) {
     obs::MetricsRegistry& m = hub->metrics;
     m_bytes_in_ = m.counter(on::kDeltaBytesIn);

@@ -39,7 +39,6 @@ namespace aic::delta {
 class ParallelPageCompressor {
  public:
   struct Config {
-    XDelta3Config page_codec = PageAlignedCompressor::page_config();
     /// Encode with the one-pass correcting coder (cdelta records +
     /// whole-page move detection) instead of the greedy per-page coder.
     /// The byte-identity invariant holds in both modes: the MoveIndex is
