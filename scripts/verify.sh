@@ -12,6 +12,11 @@
 #                UndefinedBehaviorSanitizer, plus the aic_lint fixture
 #                corpus and hostile inputs driven through the sanitized
 #                binary                                       [build-asan/]
+#   perfbench    configure + build the end-to-end benchmark (perfbench/,
+#                its own CMake package over src/) exactly as
+#                perfbench/run.py does, so a src/ API change that breaks
+#                the benchmark fails here, not in a benchmark run
+#                                                 [.bench_build/perfbench/]
 #
 # A separate bench-smoke leg builds every bench target and runs each with
 # AIC_BENCH_SMOKE=1 (tiny parameters, reproduction CHECKs informational):
@@ -145,6 +150,19 @@ run_asan_ubsan() {
   rm -f "$log"
 }
 
+run_perfbench() {
+  echo "== perfbench: build the end-to-end benchmark =="
+  local dir=.bench_build/perfbench
+  local bench_jobs=$((jobs < 4 ? jobs : 4))
+  if cmake -S perfbench -B "$dir" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+    >/dev/null && cmake --build "$dir" -j"$bench_jobs" &&
+    [[ -x "$dir/perfbench" ]]; then
+    record perfbench OK "built $dir/perfbench"
+  else
+    record perfbench FAIL "see output above"
+  fi
+}
+
 run_bench_smoke() {
   echo "== bench-smoke: all bench targets at tiny parameters =="
   if ! cmake -B build -S . >/dev/null || ! cmake --build build -j"$jobs"; then
@@ -191,6 +209,7 @@ case "$mode" in
   run_lint
   run_tsan
   run_asan_ubsan
+  run_perfbench
   run_bench_smoke
   ;;
 --tier1-only)
