@@ -394,6 +394,46 @@ TEST(FleetScheduler, CompletesAndAccountsPerTenant) {
       0.0);
 }
 
+TEST(FleetScheduler, ThousandJobDigestIsPinned) {
+  // bench/fleet_scale's 1k-job point: 8 tenants, gold reserves a tenth of
+  // a channel provisioned at 20 MB/s per job, 4 MiB chunks, 5 s quantum.
+  constexpr std::size_t kJobs = 1000;
+  constexpr double kPerJobBps = 2.0e7;
+  FleetConfig cfg;
+  cfg.shards = 1;
+  cfg.seed = 42;
+  cfg.quantum_s = 5.0;
+  cfg.bandwidth_bps = kPerJobBps * double(kJobs);
+  cfg.latency_s = 1.0e-3;
+  cfg.chunk_bytes = 4 * 1024 * 1024;
+  cfg.lambda_total = 1.0e-3;
+  cfg.restart_s = 10.0;
+  cfg.min_interval_s = 15.0;
+  cfg.max_interval_s = 600.0;
+  cfg.full_every = 8;
+  cfg.max_virtual_s = 86400.0;
+  cfg.admission.target_utilization = 0.7;
+  cfg.admission.queue_capacity = kJobs;
+  workload::FleetMixConfig mix;
+  mix.jobs = kJobs;
+  mix.tenants = 8;
+  mix.seed = 42;
+  mix.arrival_horizon_s = 300.0;
+  mix.min_work_s = 60.0;
+  mix.max_work_s = 600.0;
+  mix.pages_per_process = 256;
+  QosPolicy policy;
+  policy.set(Tenant{0, "gold", {1.0, cfg.bandwidth_bps / 10.0}});
+
+  FleetScheduler fleet(cfg, workload::lanl_fleet_jobs(mix), policy);
+  fleet.run();
+  const FleetReport r = fleet.report();
+  ASSERT_TRUE(r.complete);
+  EXPECT_EQ(r.rejected, 0u);
+  EXPECT_EQ(r.commits, 7900u);
+  EXPECT_EQ(r.digest, 0xd0375be119a6cfa0ull) << std::hex << r.digest;
+}
+
 TEST(FleetScheduler, AdmissionBackpressureSerializesJobs) {
   auto jobs = small_mix(13);
   FleetConfig cfg = small_fleet_config(1, 9);
