@@ -216,6 +216,36 @@ TEST(CausalTest, InterruptedDrainChargesStalledSegment) {
   EXPECT_NEAR(c.accounted(), c.total_s, 1e-6);
 }
 
+TEST(CausalTest, InterruptDuringBackoffChargesOnlyElapsedBackoff) {
+  // The first chunk drops at t=0.5 and backs off 2 s; the interrupt at
+  // t=1 cuts the backoff to the 0.5 s that elapsed, and the 3 s outage
+  // until the resume at t=4 is stalled time. Two clean chunks commit at 5.
+  aic::xfer::TransferScheduler::Config cfg;
+  cfg.chunk_bytes = 500;
+  cfg.retry.initial_backoff_s = 2.0;
+  cfg.retry.max_backoff_s = 2.0;
+  XferHarness h(cfg);
+  h.sched.channel(3).inject_drops(1);
+  const auto id = h.sched.submit(3, "obj", pattern_bytes(1000, 7));
+  const std::uint64_t cid = h.log().open("obj", 0, h.sched.now());
+  h.sched.annotate(id, cid);
+
+  h.sched.run_until(1.0);
+  ASSERT_TRUE(h.sched.interrupt(id));
+  h.sched.run_until(4.0);
+  ASSERT_TRUE(h.sched.resume(id));
+  h.sched.run_until_idle();
+
+  ASSERT_EQ(h.log().recent().size(), 1u);
+  const CausalChain c = h.log().recent()[0];
+  EXPECT_TRUE(c.closed);
+  EXPECT_DOUBLE_EQ(c.total_s, 5.0);
+  EXPECT_DOUBLE_EQ(c.segment(CausalSegment::kBackoff), 0.5);
+  EXPECT_DOUBLE_EQ(c.segment(CausalSegment::kStalled), 3.0);
+  EXPECT_DOUBLE_EQ(c.segment(CausalSegment::kInFlight), 1.5);
+  EXPECT_DOUBLE_EQ(c.accounted(), c.total_s);
+}
+
 TEST(CausalTest, AbortedDrainClosesChainAsAborted) {
   aic::xfer::TransferScheduler::Config cfg;
   cfg.chunk_bytes = 500;
