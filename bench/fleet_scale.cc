@@ -1,11 +1,12 @@
 // Fleet-scale bench: the multi-tenant checkpoint service (src/fleet) at
-// 100 -> 1000 -> 10000 concurrent LANL-candidate jobs. The channel is
-// provisioned proportionally to the fleet (a fixed per-job share), so the
-// scaling law to check is: aggregate goodput and NET^2 grow with the
-// fleet while p99 time-to-safe stays bounded. The bench also re-runs the
+// 100 -> 1000 -> 10000 -> 100000 concurrent LANL-candidate jobs. The
+// channel is provisioned proportionally to the fleet (a fixed per-job
+// share), so the scaling law to check is: aggregate goodput and NET^2 grow
+// with the fleet while p99 time-to-safe stays bounded. The bench also re-runs the
 // base scale at 1/2/4 shards and checks the timeline digest is
 // byte-identical — the determinism contract, enforced outside the unit
 // suite too.
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <iostream>
@@ -30,6 +31,13 @@ namespace {
 // admission passes the whole mix and the scaling law is about the fleet,
 // not about queueing (scripts covering backpressure live in the tests).
 constexpr double kPerJobBps = 2.0e7;
+
+// Wall time is a tracked metric at the 10k-job point: it repeats kWallReps
+// times so aic_benchdiff's bootstrap gates a distribution, not one sample.
+// Smaller points finish in milliseconds, too short to gate, and the 100k
+// point only runs in the full sweep.
+constexpr std::size_t kWallSampledJobs = 10000;
+constexpr int kWallReps = 5;
 
 fleet::FleetConfig fleet_config(int shards, std::size_t jobs) {
   fleet::FleetConfig cfg;
@@ -120,7 +128,8 @@ int main() {
 
   const std::vector<std::size_t> scales =
       bench::smoke_mode() ? std::vector<std::size_t>{30, 100}
-                          : std::vector<std::size_t>{100, 1000, 10000};
+                          : std::vector<std::size_t>{100, 1000, 10000,
+                                                     100000};
 
   // Determinism first: the base scale must produce one timeline no matter
   // how the simulation core is sharded.
@@ -161,18 +170,26 @@ int main() {
 
   std::vector<ScaleResult> results;
   for (const std::size_t jobs : scales) {
-    const ScaleResult r = run_scale(jobs, 1);
+    ScaleResult r = run_scale(jobs, 1);
+    const std::string tag = "fleet.jobs" + std::to_string(jobs);
+    if (jobs == kWallSampledJobs) {
+      std::vector<double> walls{r.wall_s};
+      for (int i = 1; i < kWallReps; ++i) {
+        walls.push_back(run_scale(jobs, 1).wall_s);
+      }
+      for (const double w : walls) session.sample(tag + ".wall_s", "s", w);
+      std::sort(walls.begin(), walls.end());
+      r.wall_s = walls[walls.size() / 2];  // the table shows the median
+    }
     results.push_back(r);
     const auto& rep = r.report;
 
-    const std::string tag = "fleet.jobs" + std::to_string(jobs);
     session.sample(tag + ".goodput_bps", "Bps", rep.goodput_bps,
                    /*higher_is_better=*/true);
     session.sample(tag + ".tts_p99_s", "s", rep.tts_p99_s);
     session.sample(tag + ".net2_bytes", "bytes", double(rep.net2_bytes));
-    // Virtual elapsed is deterministic and diffable; per-scale wall time
-    // is printed for the reader but not emitted as a metric — single
-    // sub-millisecond samples would flap aic_benchdiff's gate.
+    // Virtual elapsed is deterministic and diffable; wall time is a metric
+    // only at kWallSampledJobs and printed in the table everywhere.
     session.sample(tag + ".elapsed_s", "s", rep.elapsed_s);
 
     table.add_row({std::to_string(jobs), TextTable::num(rep.elapsed_s, 0),
