@@ -23,6 +23,7 @@
 #include "obs/names.h"
 #include "obs/trace.h"
 #include "sim/failure_sim.h"
+#include "fnv1a.h"
 
 namespace aic::sim {
 namespace {
@@ -118,26 +119,6 @@ FailureSimConfig clean_job(std::uint64_t seed) {
 
 // ---- canonical result text ----
 
-class Fnv1a {
- public:
-  void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) byte(std::uint8_t(v >> (8 * i)));
-  }
-  void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
-  void str(const std::string& s) {
-    for (char c : s) byte(std::uint8_t(c));
-    byte(0);
-  }
-  std::uint64_t value() const { return h_; }
-
- private:
-  void byte(std::uint8_t b) {
-    h_ ^= b;
-    h_ *= 0x100000001b3ull;
-  }
-  std::uint64_t h_ = 0xcbf29ce484222325ull;
-};
-
 std::string bits(double v) {
   std::ostringstream os;
   os << std::hex << std::bit_cast<std::uint64_t>(v);
@@ -166,7 +147,7 @@ std::string describe(const FailureSimResult& r) {
 /// FNV-1a over every virtual-domain trace event and every counter, plus
 /// the virtual event count.
 std::string describe(const obs::Hub& hub) {
-  Fnv1a h;
+  testing::Fnv1a h;
   std::size_t events = 0;
   for (const obs::TraceEvent& e : hub.trace.snapshot()) {
     if (e.domain != obs::TimeDomain::kVirtual) continue;
