@@ -1,10 +1,11 @@
 // FNV-1a over a canonical byte stream, for golden tests that pin a
 // timeline by digest: integers little-endian, doubles as their bit
-// patterns, strings NUL-terminated.
+// patterns, strings NUL-terminated, byte spans verbatim.
 #pragma once
 
 #include <bit>
 #include <cstdint>
+#include <span>
 #include <string>
 
 namespace aic::testing {
@@ -18,6 +19,9 @@ class Fnv1a {
   void str(const std::string& s) {
     for (char c : s) byte(std::uint8_t(c));
     byte(0);
+  }
+  void bytes(std::span<const std::uint8_t> s) {
+    for (std::uint8_t b : s) byte(b);
   }
   std::uint64_t value() const { return h_; }
 
