@@ -6,6 +6,7 @@
 // formats are deterministic and portable.
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -47,6 +48,38 @@ class ByteWriter {
 
   void raw(ByteSpan data) { out_.insert(out_.end(), data.begin(), data.end()); }
 
+  /// Reserves a two-byte slot for the varint length (< 2^14) of the body
+  /// written after it; returns the body's start for close_length_slot().
+  /// Lets a record be encoded in place when its length is known only
+  /// afterwards.
+  std::size_t open_length_slot() {
+    out_.push_back(0);
+    out_.push_back(0);
+    return out_.size();
+  }
+
+  /// Writes the length of everything appended since open_length_slot()
+  /// into its slot, exactly as varint() would have written it up front: a
+  /// one-byte length shifts the body left by one byte.
+  void close_length_slot(std::size_t body) {
+    const std::size_t len = out_.size() - body;
+    AIC_CHECK_MSG(len < (1u << 14), "length slot holds two varint bytes");
+    if (len < 0x80) {
+      out_[body - 2] = std::uint8_t(len);
+      std::memmove(out_.data() + body - 1, out_.data() + body, len);
+      out_.pop_back();
+    } else {
+      out_[body - 2] = std::uint8_t(len) | 0x80;
+      out_[body - 1] = std::uint8_t(len >> 7);
+    }
+  }
+
+  /// Drops everything written after the first `n` bytes.
+  void truncate(std::size_t n) {
+    AIC_CHECK(n <= out_.size());
+    out_.resize(n);
+  }
+
   std::size_t size() const { return out_.size(); }
 
  private:
@@ -67,6 +100,15 @@ inline void copy_no_overlap(std::uint8_t* dst, const std::uint8_t* src,
   const auto s = reinterpret_cast<std::uintptr_t>(src);
   AIC_CHECK_MSG(d + n <= s || s + n <= d, "copy_no_overlap: ranges overlap");
   std::memcpy(dst, src, n);
+}
+
+/// Unaligned little-endian 64-bit load, for word-at-a-time scans.
+inline std::uint64_t load_le64(const std::uint8_t* p) {
+  std::uint64_t v;
+  std::memcpy(&v, p, sizeof v);
+  if constexpr (std::endian::native == std::endian::big)
+    v = __builtin_bswap64(v);
+  return v;
 }
 
 /// Reads encoded values from a byte span; bounds-checked via AIC_CHECK.

@@ -107,17 +107,21 @@ void PageAlignedCompressor::encode_page(const DirtyPage& page,
       // Delta expanded (dissimilar page): fall through to raw.
     }
   } else if (has_prev) {
+    // Encoded in place behind a reserved length slot: no per-page buffer,
+    // no copy, and the same bytes as writing the length up front.
+    const std::size_t record = w.size();
+    w.u8(kKindDelta);
+    const std::size_t body = w.open_length_slot();
     CodecStats st;
-    Bytes delta = codec_.encode(prev.page_bytes(page.id), page.bytes, &st);
+    codec_.encode_to(prev.page_bytes(page.id), page.bytes, w, &st);
     merge_codec_stats(acc.stats, st);
-    if (delta.size() < kPageSize) {
-      w.u8(kKindDelta);
-      w.varint(delta.size());
-      w.raw(delta);
+    if (st.output_bytes < kPageSize) {
+      w.close_length_slot(body);
       ++acc.pages_delta;
       return;
     }
-    // Delta expanded (dissimilar page): fall through to raw.
+    // Delta expanded (dissimilar page): drop it and fall through to raw.
+    w.truncate(record);
   }
   w.u8(kKindRaw);
   w.varint(kPageSize);

@@ -1,22 +1,6 @@
 #include "delta/rolling_hash.h"
 
-#include "common/check.h"
-
 namespace aic::delta {
-
-RollingHash::RollingHash(const std::uint8_t* data, std::size_t len)
-    : len_(len) {
-  AIC_CHECK(len >= 1);
-  for (std::size_t i = 0; i < len; ++i) {
-    a_ += data[i];
-    b_ += std::uint32_t(len - i) * data[i];
-  }
-}
-
-void RollingHash::roll(std::uint8_t outgoing, std::uint8_t incoming) {
-  a_ += std::uint32_t(incoming) - std::uint32_t(outgoing);
-  b_ += a_ - std::uint32_t(len_) * std::uint32_t(outgoing);
-}
 
 std::uint64_t fnv1a64(ByteSpan data) {
   std::uint64_t h = 0xCBF29CE484222325ULL;

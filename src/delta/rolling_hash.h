@@ -19,17 +19,28 @@
 #include <cstdint>
 
 #include "common/bytes.h"
+#include "common/check.h"
 
 namespace aic::delta {
 
-/// rsync weak rolling checksum over a fixed-size window.
+/// rsync weak rolling checksum over a fixed-size window. Fully inline:
+/// roll() runs once per target byte on the greedy coder's miss path.
 class RollingHash {
  public:
   /// Initializes over data[0, len). len must be >= 1.
-  RollingHash(const std::uint8_t* data, std::size_t len);
+  RollingHash(const std::uint8_t* data, std::size_t len) : len_(len) {
+    AIC_CHECK(len >= 1);
+    for (std::size_t i = 0; i < len; ++i) {
+      a_ += data[i];
+      b_ += std::uint32_t(len - i) * data[i];
+    }
+  }
 
   /// Rolls the window one byte: removes `outgoing`, appends `incoming`.
-  void roll(std::uint8_t outgoing, std::uint8_t incoming);
+  void roll(std::uint8_t outgoing, std::uint8_t incoming) {
+    a_ += std::uint32_t(incoming) - std::uint32_t(outgoing);
+    b_ += a_ - std::uint32_t(len_) * std::uint32_t(outgoing);
+  }
 
   std::uint32_t digest() const { return (b_ << 16) | (a_ & 0xFFFF); }
   std::size_t window() const { return len_; }
