@@ -31,11 +31,13 @@ class SessionReporter : public benchmark::ConsoleReporter {
       session_->sample(run.benchmark_name(), "s/iter",
                        run.real_accumulated_time / double(run.iterations));
       for (const auto& [cname, counter] : run.counters) {
-        // Counters follow the session default: lower is better (ratios,
-        // peak bytes). Constant config counters (e.g. "workers") diff as
-        // neutral.
+        // Rates (bytes_per_second, items_per_second) are higher-better;
+        // every other counter follows the session default: lower is
+        // better (ratios, peak bytes). Constant config counters (e.g.
+        // "workers") diff as neutral.
         session_->sample(run.benchmark_name() + "." + cname, "counter",
-                         double(counter.value));
+                         double(counter.value),
+                         (counter.flags & benchmark::Counter::kIsRate) != 0);
       }
     }
     ConsoleReporter::ReportRuns(reports);
