@@ -1,6 +1,7 @@
 // Microbenchmarks (google-benchmark): real wall-clock throughput of the
 // delta codecs across page-similarity levels, plus the page-aligned
-// checkpoint compressor end to end. These measure the host's actual
+// checkpoint compressor end to end and the put path's CRC-32C and RAID-5
+// striping. These measure the host's actual
 // compressor speed — the experiment harness uses deterministic work units
 // instead, calibrated to the paper's testbed class.
 #include <benchmark/benchmark.h>
@@ -16,6 +17,7 @@
 #include "bench_session_gbench.h"
 
 #include "ckpt/checkpointer.h"
+#include "common/crc32c.h"
 #include "common/rng.h"
 #include "common/units.h"
 #include "delta/correcting.h"
@@ -25,6 +27,7 @@
 #include "delta/xor_delta.h"
 #include "mem/address_space.h"
 #include "mem/snapshot.h"
+#include "storage/storage.h"
 
 // ---- binary-wide heap accounting for the restore-memory metric ----
 // Same scheme as tests/heap_guard.h (each binary defines its own operator
@@ -427,6 +430,35 @@ void BM_CorrectingPagesCompress(benchmark::State& state) {
       double(out_bytes) / double(pages * kPageSize);
 }
 BENCHMARK(BM_CorrectingPagesCompress)->Arg(64)->Arg(512);
+
+// ---- the put path's byte layers: record CRC and RAID-5 striping ----
+// Sizes: a page, a median ckpt-milc incremental record (perfbench) and a
+// full 8 MiB image.
+
+void BM_Crc32c(benchmark::State& state) {
+  Rng rng(5);
+  const Bytes data = random_bytes(rng, std::size_t(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(crc32c(data));
+  }
+  state.SetBytesProcessed(std::int64_t(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_Crc32c)->Arg(4096)->Arg(360912)->Arg(8388608);
+
+void BM_Raid5Put(benchmark::State& state) {
+  // MultiLevelStore's group: 4 members, 64 KiB stripe unit. put() takes
+  // its object by value, so each iteration also times one copy of it.
+  Rng rng(6);
+  const Bytes data = random_bytes(rng, std::size_t(state.range(0)));
+  storage::Raid5Group group(4, 400.0e6);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(group.put("obj", data));
+  }
+  state.SetBytesProcessed(std::int64_t(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_Raid5Put)->Arg(4096)->Arg(360912)->Arg(8388608);
 
 // ---- restart reconstruction: wall time and peak heap per mode ----
 

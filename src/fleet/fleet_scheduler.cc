@@ -25,8 +25,8 @@ constexpr int kDrainLevel = 3;
 /// (submit_sized), so "storing" a checkpoint is accounting, not bytes.
 class CountingSink final : public xfer::ChunkSink {
  public:
-  void stage(const std::string& key, std::uint64_t offset,
-             ByteSpan chunk) override {
+  void stage(const std::string& key, std::uint64_t offset, ByteSpan chunk,
+             std::uint64_t /*total_bytes*/) override {
     auto& staged = staged_[key];
     staged = std::max(staged, offset + chunk.size());
   }

@@ -274,8 +274,8 @@ class DrainPlacement final : public Placement {
         files.begin(), files.end(), [&](const ckpt::CheckpointFile& f) {
           return ev.reanchored_sequence == f.sequence;
         });
-    (void)store_.reclaim_checkpoint(ev.victim_sequence,
-                                    it == files.end() ? nullptr : &*it);
+    store_.reclaim_checkpoint(ev.victim_sequence,
+                              it == files.end() ? nullptr : &*it);
   }
 
   Rollback fail(int level, double wall) override {

@@ -117,21 +117,13 @@ void MultiLevelStore::truncate_to(std::uint64_t count) {
   next_index_ = count;
 }
 
-std::uint64_t MultiLevelStore::reclaim_checkpoint(
+void MultiLevelStore::reclaim_checkpoint(
     std::uint64_t index, const ckpt::CheckpointFile* reanchored) {
   AIC_CHECK_MSG(index + 1 < next_index_,
                 "reclaim_checkpoint(" << index << ") would drop the newest "
                                       << "checkpoint (have " << next_index_
                                       << ")");
   const std::string key = key_for(index);
-  std::uint64_t freed = 0;
-  for (const StorageTarget* t :
-       {static_cast<const StorageTarget*>(&local_),
-        static_cast<const StorageTarget*>(&raid_),
-        static_cast<const StorageTarget*>(&remote_)}) {
-    if (!t->available()) continue;
-    if (auto bytes = t->get(key)) freed += bytes->size();
-  }
   local_.erase(key);
   raid_.erase(key);
   remote_.erase(key);
@@ -178,7 +170,6 @@ std::uint64_t MultiLevelStore::reclaim_checkpoint(
     }
     is_full_[succ] = true;
   }
-  return freed;
 }
 
 void MultiLevelStore::repair_raid_group() {

@@ -123,11 +123,11 @@ class MultiLevelStore {
   /// object with `reanchored` — committed copies are replaced in place and
   /// unfinished drains are discarded and resubmitted with the new bytes,
   /// so no level can ever commit the stale delta over a hole. The newest
-  /// checkpoint can never be reclaimed. Returns the bytes erased across
-  /// levels (the storage the window freed). Pairs with
+  /// checkpoint can never be reclaimed. Nothing is read back: erasing
+  /// costs no reassembly at any level. Pairs with
   /// CheckpointChain::PruneEvent.
-  std::uint64_t reclaim_checkpoint(
-      std::uint64_t index, const ckpt::CheckpointFile* reanchored = nullptr);
+  void reclaim_checkpoint(std::uint64_t index,
+                          const ckpt::CheckpointFile* reanchored = nullptr);
 
   /// Replaces a group that lost more members than RAID-5 tolerates with
   /// fresh (empty) nodes; call reseed_from_remote() afterwards.

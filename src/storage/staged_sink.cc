@@ -7,11 +7,14 @@
 namespace aic::storage {
 
 void StagedTargetSink::stage(const std::string& key, std::uint64_t offset,
-                             ByteSpan chunk) {
+                             ByteSpan chunk, std::uint64_t total_bytes) {
   Bytes& buf = staging_[key];
-  const std::size_t end = std::size_t(offset) + chunk.size();
-  if (buf.size() < end) buf.resize(end, 0);
-  std::copy(chunk.begin(), chunk.end(), buf.begin() + std::ptrdiff_t(offset));
+  if (buf.capacity() < total_bytes) buf.reserve(std::size_t(total_bytes));
+  const std::size_t at = std::size_t(offset);
+  if (buf.size() < at) buf.resize(at);  // a gap reads as zeros
+  const std::size_t overlap = std::min(chunk.size(), buf.size() - at);
+  std::copy_n(chunk.begin(), overlap, buf.begin() + std::ptrdiff_t(at));
+  buf.insert(buf.end(), chunk.begin() + std::ptrdiff_t(overlap), chunk.end());
 }
 
 std::uint64_t StagedTargetSink::staged_bytes(const std::string& key) const {

@@ -23,8 +23,10 @@ class StagedTargetSink final : public xfer::ChunkSink {
   explicit StagedTargetSink(StorageTarget& target)
       : target_(&target) {}
 
-  void stage(const std::string& key, std::uint64_t offset,
-             ByteSpan chunk) override;
+  /// Reserves the object's full size on its first chunk; an in-order
+  /// chunk appends, a retry overwrites what a partial write left.
+  void stage(const std::string& key, std::uint64_t offset, ByteSpan chunk,
+             std::uint64_t total_bytes) override;
   std::uint64_t staged_bytes(const std::string& key) const override;
   void commit(const std::string& key) override;
   void discard(const std::string& key) override;

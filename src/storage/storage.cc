@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "common/check.h"
 
@@ -62,6 +63,43 @@ void LocalDisk::replace() {
 
 // ---------- Raid5Group ----------
 
+namespace {
+
+/// dst[i] ^= src[i] for i < n, a word at a time: the one XOR that computes
+/// put's parity units and reconstructs a lost member's share.
+void xor_into(std::uint8_t* dst, const std::uint8_t* src, std::size_t n) {
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    std::uint64_t d, s;
+    std::memcpy(&d, dst + i, sizeof d);
+    std::memcpy(&s, src + i, sizeof s);
+    d ^= s;
+    std::memcpy(dst + i, &d, sizeof d);
+  }
+  for (; i < n; ++i) dst[i] ^= src[i];
+}
+
+/// XOR of every member's share but `skip`'s. Since each member holds one
+/// unit per stripe at the same offset, and a stripe's units XOR to zero,
+/// this is `skip`'s whole share — data and parity units alike.
+Bytes xor_of_others(const std::vector<const Bytes*>& share, std::size_t skip) {
+  Bytes out;
+  bool first = true;
+  for (std::size_t node = 0; node < share.size(); ++node) {
+    if (node == skip) continue;
+    if (first) {
+      out = *share[node];
+      first = false;
+      continue;
+    }
+    AIC_CHECK(share[node]->size() == out.size());
+    xor_into(out.data(), share[node]->data(), out.size());
+  }
+  return out;
+}
+
+}  // namespace
+
 Raid5Group::Raid5Group(std::size_t nodes, double bandwidth_bps,
                        std::size_t stripe_unit, double latency_s)
     : stripe_unit_(stripe_unit),
@@ -87,8 +125,7 @@ std::size_t Raid5Group::parity_node(std::uint64_t stripe) const {
 double Raid5Group::put(const std::string& key, Bytes data) {
   AIC_CHECK_MSG(available(), "write to degraded-beyond-repair RAID group");
   const std::size_t n = shares_.size();
-  const std::size_t data_units = n - 1;
-  const std::size_t stripe_bytes = stripe_unit_ * data_units;
+  const std::size_t stripe_bytes = stripe_unit_ * (n - 1);
   const std::uint64_t stripes =
       data.empty() ? 0 : (data.size() + stripe_bytes - 1) / stripe_bytes;
 
@@ -98,29 +135,27 @@ double Raid5Group::put(const std::string& key, Bytes data) {
   const double t = transfer_seconds(std::max<std::uint64_t>(written, 1),
                                     bandwidth_, latency_);
 
-  // Lay out shares. Each stripe: data_units units + 1 parity unit.
+  // Lay out shares, each sized once: per stripe, the data units append to
+  // their members in order (the last stripe zero-padded) and are XORed
+  // into the parity unit.
   std::vector<Bytes> node_share(n);
-  Bytes unit(stripe_unit_, 0);
+  for (Bytes& share : node_share) share.reserve(stripes * stripe_unit_);
+  std::size_t off = 0;
   for (std::uint64_t s = 0; s < stripes; ++s) {
     const std::size_t pnode = parity_node(s);
-    Bytes parity(stripe_unit_, 0);
-    std::size_t unit_idx = 0;
+    Bytes& parity = node_share[pnode];
+    parity.resize(parity.size() + stripe_unit_);
+    std::uint8_t* p = parity.data() + parity.size() - stripe_unit_;
     for (std::size_t node = 0; node < n; ++node) {
       if (node == pnode) continue;
-      const std::size_t off = std::size_t(s) * stripe_bytes +
-                              unit_idx * stripe_unit_;
-      std::fill(unit.begin(), unit.end(), 0);
-      if (off < data.size()) {
-        const std::size_t len = std::min(stripe_unit_, data.size() - off);
-        std::copy(data.begin() + off, data.begin() + off + len, unit.begin());
-      }
-      for (std::size_t b = 0; b < stripe_unit_; ++b) parity[b] ^= unit[b];
-      node_share[node].insert(node_share[node].end(), unit.begin(),
-                              unit.end());
-      ++unit_idx;
+      const std::size_t len = std::min(stripe_unit_, data.size() - off);
+      Bytes& share = node_share[node];
+      share.insert(share.end(), data.begin() + std::ptrdiff_t(off),
+                   data.begin() + std::ptrdiff_t(off + len));
+      share.resize(share.size() + stripe_unit_ - len);
+      xor_into(p, data.data() + off, len);
+      off += len;
     }
-    node_share[pnode].insert(node_share[pnode].end(), parity.begin(),
-                             parity.end());
   }
   for (std::size_t node = 0; node < n; ++node) {
     if (node_failed_[node]) continue;  // degraded write skips the dead node
@@ -136,64 +171,41 @@ std::optional<Bytes> Raid5Group::get(const std::string& key) const {
   if (mit == meta_.end()) return std::nullopt;
   const ObjectMeta& meta = mit->second;
   const std::size_t n = shares_.size();
-  const std::size_t data_units = n - 1;
 
-  // Collect each node's share (empty span if the node is down or the share
-  // is missing, e.g. written while that node was down).
+  // Collect each node's share; a node that is down or lacks the share
+  // (written while that node was down) is rebuilt from the others.
   std::vector<const Bytes*> share(n, nullptr);
-  std::size_t missing = 0;
+  std::size_t lost = n;
   for (std::size_t node = 0; node < n; ++node) {
-    if (node_failed_[node]) {
-      ++missing;
-      continue;
-    }
     auto it = shares_[node].find(key);
-    if (it == shares_[node].end()) {
-      ++missing;
+    if (node_failed_[node] || it == shares_[node].end()) {
+      if (lost != n) return std::nullopt;  // a second member missing
+      lost = node;
       continue;
     }
     share[node] = &it->second;
   }
-  if (missing > 1) return std::nullopt;
+  Bytes rebuilt;
+  if (lost != n) {
+    rebuilt = xor_of_others(share, lost);
+    share[lost] = &rebuilt;
+  }
 
+  // Each member holds one unit per stripe; the data units, in member
+  // order, are the object, and the last stripe's padding is trimmed.
+  const std::size_t share_bytes = std::size_t(meta.stripes) * stripe_unit_;
+  for (const Bytes* sh : share) AIC_CHECK(sh->size() == share_bytes);
   Bytes out;
   out.reserve(meta.size);
-  Bytes unit(stripe_unit_, 0);
   for (std::uint64_t s = 0; s < meta.stripes; ++s) {
     const std::size_t pnode = parity_node(s);
-    // Per-stripe unit index within each node's concatenated share:
-    // every node contributes exactly one unit per stripe.
     const std::size_t share_off = std::size_t(s) * stripe_unit_;
-    std::size_t unit_idx = 0;
-    for (std::size_t node = 0; node < n; ++node) {
+    for (std::size_t node = 0; node < n && out.size() < meta.size; ++node) {
       if (node == pnode) continue;
-      if (share[node]) {
-        const Bytes& sh = *share[node];
-        AIC_CHECK(share_off + stripe_unit_ <= sh.size());
-        std::copy(sh.begin() + share_off,
-                  sh.begin() + share_off + stripe_unit_, unit.begin());
-      } else {
-        // Reconstruct the lost data unit: XOR of all surviving units of
-        // this stripe (including parity).
-        std::fill(unit.begin(), unit.end(), 0);
-        for (std::size_t other = 0; other < n; ++other) {
-          if (other == node) continue;
-          AIC_CHECK_MSG(share[other], "two members missing in one stripe");
-          const Bytes& sh = *share[other];
-          AIC_CHECK(share_off + stripe_unit_ <= sh.size());
-          for (std::size_t b = 0; b < stripe_unit_; ++b)
-            unit[b] ^= sh[share_off + b];
-        }
-      }
-      // Append, trimming the final stripe's padding.
-      const std::size_t logical_off =
-          (std::size_t(s) * data_units + unit_idx) * stripe_unit_;
-      if (logical_off < meta.size) {
-        const std::size_t len =
-            std::min(stripe_unit_, std::size_t(meta.size) - logical_off);
-        out.insert(out.end(), unit.begin(), unit.begin() + len);
-      }
-      ++unit_idx;
+      const std::size_t len =
+          std::min(stripe_unit_, std::size_t(meta.size) - out.size());
+      const auto unit = share[node]->begin() + std::ptrdiff_t(share_off);
+      out.insert(out.end(), unit, unit + std::ptrdiff_t(len));
     }
   }
   AIC_CHECK(out.size() == meta.size);
@@ -240,28 +252,22 @@ std::uint64_t Raid5Group::rebuild_node(std::size_t node) {
   node_failed_[node] = false;
   std::uint64_t rebuilt = 0;
   const std::size_t n = shares_.size();
+  std::vector<const Bytes*> share(n, nullptr);
   for (const auto& [key, meta] : meta_) {
-    Bytes share;
-    share.resize(std::size_t(meta.stripes) * stripe_unit_, 0);
     bool have_all = true;
-    for (std::uint64_t s = 0; s < meta.stripes && have_all; ++s) {
-      const std::size_t off = std::size_t(s) * stripe_unit_;
-      for (std::size_t other = 0; other < n; ++other) {
-        if (other == node) continue;
-        auto it = shares_[other].find(key);
-        if (it == shares_[other].end()) {
-          have_all = false;
-          break;
-        }
-        const Bytes& sh = it->second;
-        AIC_CHECK(off + stripe_unit_ <= sh.size());
-        for (std::size_t b = 0; b < stripe_unit_; ++b)
-          share[off + b] ^= sh[off + b];
-      }
+    for (std::size_t other = 0; other < n && have_all; ++other) {
+      if (other == node) continue;
+      auto it = shares_[other].find(key);
+      have_all = it != shares_[other].end();
+      if (have_all) share[other] = &it->second;
     }
-    if (have_all && meta.stripes > 0) {
-      rebuilt += share.size();
-      shares_[node][key] = std::move(share);
+    // An empty object's (empty) share is restored too, or losing another
+    // member later would leave two shares of it missing.
+    if (have_all) {
+      Bytes lost = xor_of_others(share, node);
+      AIC_CHECK(lost.size() == std::size_t(meta.stripes) * stripe_unit_);
+      rebuilt += lost.size();
+      shares_[node][key] = std::move(lost);
     }
   }
   return rebuilt;

@@ -226,20 +226,34 @@ void TransferScheduler::collect_due(bool in_flight) {
 }
 
 void TransferScheduler::open_stream(Entry& e) {
-  e.level->channel->open_stream();
-  ++e.level->lanes[e.rec.tenant].streams;
-  e.level->starting = true;
+  Level& level = *e.level;
+  level.channel->open_stream();
+  auto lane = level.lanes.find(e.rec.tenant);
+  if (lane == level.lanes.end()) {
+    if (level.spare_lane.empty()) {
+      lane = level.lanes.emplace(e.rec.tenant, Lane{}).first;
+    } else {
+      level.spare_lane.key() = e.rec.tenant;
+      level.spare_lane.mapped() = Lane{};
+      lane = level.lanes.insert(std::move(level.spare_lane)).position;
+    }
+  }
+  ++lane->second.streams;
+  level.starting = true;
 }
 
 void TransferScheduler::close_stream(Entry& e) {
   e.level->channel->close_stream();
   const auto lane = e.level->lanes.find(e.rec.tenant);
-  if (--lane->second.streams == 0) e.level->lanes.erase(lane);
+  if (--lane->second.streams == 0) {
+    e.level->spare_lane = e.level->lanes.extract(lane);
+  }
   e.attempt_active = false;
 }
 
 void TransferScheduler::commit(Entry& e) {
   e.level->sink->commit(e.rec.key);
+  Bytes().swap(e.data);  // the sink holds the object now; nothing resends
   close_causal(e, false);
   e.rec.state = TransferState::kCommitted;
   e.rec.commit_time = now_;
@@ -268,7 +282,8 @@ void TransferScheduler::start_ready_attempts() {
     if (e->rec.acked_bytes >= e->rec.total_bytes) {
       // Zero-byte object (or nothing left): publish without touching the
       // wire. Ensure a staged (possibly empty) entry exists to commit.
-      e->level->sink->stage(e->rec.key, e->rec.acked_bytes, ByteSpan{});
+      e->level->sink->stage(e->rec.key, e->rec.acked_bytes, ByteSpan{},
+                            e->rec.total_bytes);
       commit(*e);
       reschedule(*e);
       continue;
@@ -367,11 +382,13 @@ void TransferScheduler::finish_attempt(Entry& e) {
         scratch_.assign(e.attempt_delivered, 0);
       }
       level.sink->stage(e.rec.key, e.rec.acked_bytes,
-                        ByteSpan(scratch_.data(), e.attempt_delivered));
+                        ByteSpan(scratch_.data(), e.attempt_delivered),
+                        e.rec.total_bytes);
     } else {
       level.sink->stage(
           e.rec.key, e.rec.acked_bytes,
-          ByteSpan(e.data.data() + e.rec.acked_bytes, e.attempt_delivered));
+          ByteSpan(e.data.data() + e.rec.acked_bytes, e.attempt_delivered),
+          e.rec.total_bytes);
     }
   }
 

@@ -172,6 +172,9 @@ class TransferScheduler {
     /// Tenants with attempts on the wire (a lane is erased at zero), in
     /// ascending tenant order — the order pricing sums them in.
     std::map<std::uint64_t, Lane> lanes;
+    /// The node of the last lane erased, reused by the next lane opened:
+    /// a lone drain's lane closes and reopens at every chunk attempt.
+    std::map<std::uint64_t, Lane>::node_type spare_lane;
     /// Keys of the level's live (non-discarded) transfers.
     std::unordered_set<std::string> keys;
     /// Set while the current start batch opens a stream here.
@@ -191,6 +194,7 @@ class TransferScheduler {
   using EventSet = std::set<Event>;
   struct Entry {
     TransferRecord rec;
+    /// The payload, released at commit.
     Bytes data;
     /// Destination (levels_ nodes never move).
     Level* level = nullptr;

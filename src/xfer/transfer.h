@@ -112,11 +112,12 @@ class ChunkSink {
  public:
   virtual ~ChunkSink() = default;
 
-  /// Writes `chunk` at `offset` of the staged object `key`, growing the
-  /// staging buffer as needed. May be called repeatedly for the same
-  /// offset (retry after partial delivery).
+  /// Writes `chunk` at `offset` of the staged object `key`, whose
+  /// complete size is `total_bytes` (so a sink can size its buffer once).
+  /// May be called repeatedly for the same offset (retry after partial
+  /// delivery).
   virtual void stage(const std::string& key, std::uint64_t offset,
-                     ByteSpan chunk) = 0;
+                     ByteSpan chunk, std::uint64_t total_bytes) = 0;
   /// Bytes currently staged for `key` (0 if no partial exists).
   virtual std::uint64_t staged_bytes(const std::string& key) const = 0;
   /// Atomically publishes the staged object and clears the partial.

@@ -2,6 +2,7 @@
 // statistics, and the dense linear solver.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -333,6 +334,84 @@ TEST(Crc32c, SensitiveToEverySingleBitFlip) {
       EXPECT_NE(crc32c(flipped), base) << "byte " << i << " bit " << bit;
     }
   }
+}
+
+// ---- the dispatched updaters against each other ----
+
+using Crc32cUpdater = std::uint32_t (*)(std::uint32_t, ByteSpan);
+
+/// One bit per step: the definition both updaters must reproduce.
+std::uint32_t crc32c_bitwise(std::uint32_t state, ByteSpan data) {
+  for (std::uint8_t b : data) {
+    state ^= b;
+    for (int bit = 0; bit < 8; ++bit)
+      state = (state >> 1) ^ (0x82F63B78u & (0u - (state & 1u)));
+  }
+  return state;
+}
+
+/// `update` must match the bitwise definition on every length 0-256 at
+/// every start offset 0-7, on random streaming splits of 1 MiB, and on the
+/// RFC 3720 (B.4) and "123456789" check values.
+void expect_matches_definition(Crc32cUpdater update) {
+  Rng rng(13);
+  Bytes small(256 + 8);
+  for (auto& b : small) b = std::uint8_t(rng());
+  for (std::size_t off = 0; off < 8; ++off) {
+    for (std::size_t len = 0; len <= 256; ++len) {
+      const ByteSpan span = ByteSpan(small).subspan(off, len);
+      ASSERT_EQ(update(kCrc32cInit, span), crc32c_bitwise(kCrc32cInit, span))
+          << "offset " << off << " length " << len;
+    }
+  }
+
+  Bytes big(1 << 20);
+  for (auto& b : big) b = std::uint8_t(rng());
+  const std::uint32_t whole = crc32c_bitwise(kCrc32cInit, big);
+  for (int round = 0; round < 4; ++round) {
+    std::uint32_t state = kCrc32cInit;
+    std::size_t at = 0;
+    while (at < big.size()) {
+      // Piece lengths from 0 to ~64 KiB, odd sizes and empty pieces too.
+      const std::size_t len = std::min<std::size_t>(
+          big.size() - at, rng.uniform_u64(std::uint64_t(1) << (round * 4 + 4)));
+      state = update(state, ByteSpan(big).subspan(at, len));
+      at += len;
+    }
+    ASSERT_EQ(state, whole) << "streaming round " << round;
+  }
+
+  auto check = [&](const Bytes& data, std::uint32_t expected) {
+    EXPECT_EQ(crc32c_finalize(update(kCrc32cInit, data)), expected);
+  };
+  check(Bytes(32, 0x00), 0x8A9136AAu);
+  check(Bytes(32, 0xFF), 0x62A8AB43u);
+  Bytes ramp(32);
+  for (std::size_t i = 0; i < ramp.size(); ++i) ramp[i] = std::uint8_t(i);
+  check(ramp, 0x46DD794Eu);
+  std::reverse(ramp.begin(), ramp.end());
+  check(ramp, 0x113FDB5Cu);
+  // An iSCSI SCSI Read (10) command PDU.
+  const Bytes pdu = {0x01, 0xC0, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+                     0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x14, 0x00, 0x00, 0x00,
+                     0x00, 0x00, 0x04, 0x00, 0x00, 0x00, 0x00, 0x14, 0x00, 0x00,
+                     0x00, 0x18, 0x28, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+                     0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00};
+  check(pdu, 0xD9963A56u);
+  check({'1', '2', '3', '4', '5', '6', '7', '8', '9'}, 0xE3069283u);
+}
+
+TEST(Crc32c, SliceBy8MatchesDefinition) {
+  expect_matches_definition(detail::crc32c_update_slice8);
+}
+
+TEST(Crc32c, Sse42MatchesDefinition) {
+#if defined(__x86_64__)
+  if (!__builtin_cpu_supports("sse4.2")) GTEST_SKIP() << "no SSE4.2";
+  expect_matches_definition(detail::crc32c_update_sse42);
+#else
+  GTEST_SKIP() << "the SSE4.2 path exists on x86-64 only";
+#endif
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 
 #include "ckpt/checkpointer.h"
 #include "common/rng.h"
+#include "heap_guard.h"
 #include "mem/snapshot.h"
 #include "storage/multilevel_store.h"
 
@@ -155,6 +156,70 @@ TEST(MultiLevelStore, PartialLocalChainFallsBackDeeper) {
       << "local holds only an incremental without its full ancestor";
   EXPECT_TRUE(mem::Snapshot::capture(space).equals_space(
       restore_from(*rec).materialize()));
+}
+
+// ---------- drain byte path: allocations and what stays live ----------
+
+/// A full checkpoint whose serialized record is `chunks` drain chunks
+/// long, the last one partly filled.
+ckpt::CheckpointFile record_of_chunks(std::size_t chunks) {
+  ckpt::CheckpointFile f;
+  f.payload.assign(chunks * MultiLevelConfig{}.xfer.chunk_bytes - 1000, 0x5A);
+  return f;
+}
+
+struct DrainCost {
+  std::uint64_t allocations = 0;
+  std::int64_t live_bytes = 0;  // heap left behind
+  std::uint64_t chunks = 0;     // L2 + L3 chunks sent
+};
+
+/// One checkpoint's put and drains, metered on the process heap. The heap
+/// counters are process-wide, so the work stays on this thread.
+DrainCost put_and_drain(MultiLevelStore& store,
+                        const ckpt::CheckpointFile& file) {
+  const std::uint64_t chunks0 = store.xfer().stats().chunks_sent;
+  const testing::HeapStats before = testing::heap_stats();
+  store.put_checkpoint_async(file);
+  store.xfer().run_until_idle();
+  const testing::HeapStats after = testing::heap_stats();
+  return {after.allocations - before.allocations,
+          std::int64_t(after.live_bytes) - std::int64_t(before.live_bytes),
+          store.xfer().stats().chunks_sent - chunks0};
+}
+
+std::uint64_t stored_copies(const MultiLevelStore& store) {
+  return store.local().stored_bytes() + store.raid().stored_bytes() +
+         store.remote().stored_bytes();
+}
+
+TEST(MultiLevelStore, DrainAllocatesPerObjectNotPerChunk) {
+  MultiLevelStore store;
+  const ckpt::CheckpointFile small = record_of_chunks(2);
+  const ckpt::CheckpointFile large = record_of_chunks(32);
+  put_and_drain(store, small);  // warm-up: first-use state on each path
+  put_and_drain(store, large);
+  const DrainCost s = put_and_drain(store, small);
+  const DrainCost l = put_and_drain(store, large);
+  EXPECT_EQ(s.chunks, 2u * 2u);
+  EXPECT_EQ(l.chunks, 2u * 32u);
+  EXPECT_EQ(s.allocations, l.allocations)
+      << "a 32-chunk drain must allocate no more than a 2-chunk one";
+}
+
+TEST(MultiLevelStore, DrainLeavesOnlyTheStoredCopies) {
+  MultiLevelStore store;
+  const ckpt::CheckpointFile file = record_of_chunks(32);
+  put_and_drain(store, file);
+  const std::uint64_t stored0 = stored_copies(store);
+  const DrainCost cost = put_and_drain(store, file);
+  const std::int64_t stored = std::int64_t(stored_copies(store) - stored0);
+  // L1 + RAID shares + L3, and no payload or spare capacity besides: the
+  // slack covers allocator rounding and the per-object bookkeeping.
+  constexpr std::int64_t kSlack = 64 * 1024;
+  EXPECT_LE(cost.live_bytes, stored + kSlack)
+      << "the drains left " << cost.live_bytes << " B live for " << stored
+      << " B stored";
 }
 
 // ---------- rewind-window reclamation ----------

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <string>
+#include <vector>
 
 #include "common/check.h"
 #include "common/rng.h"
@@ -71,50 +73,84 @@ TEST(LocalDisk, FailureMakesContentUnavailable) {
 
 class Raid5Fixture : public ::testing::TestWithParam<std::size_t> {
  protected:
-  static constexpr std::size_t kUnit = 64;  // small stripes exercise layout
+  /// Small stripes exercise the layout; 61 is not a multiple of the
+  /// parity XOR's 8-byte word, so every unit ends in the XOR's tail.
+  static constexpr std::size_t kUnits[] = {64, 61};
+
+  /// Object sizes around each layout boundary for a stripe unit: empty,
+  /// partial and whole units, a whole stripe, a partial last stripe, and
+  /// many stripes.
+  std::vector<std::size_t> sizes(std::size_t unit) const {
+    const std::size_t data_units = GetParam() - 1;
+    return {0,
+            1,
+            unit - 1,
+            unit,
+            unit + 1,
+            3 * unit,
+            data_units * unit,
+            data_units * unit + 7,
+            10 * GetParam() * unit};
+  }
 };
 
 TEST_P(Raid5Fixture, RoundTripAllSizes) {
-  Raid5Group g(GetParam(), 1000.0, kUnit);
   Rng rng(2);
-  for (std::size_t size :
-       {std::size_t(1), kUnit - 1, kUnit, kUnit + 1, 3 * kUnit,
-        (GetParam() - 1) * kUnit, (GetParam() - 1) * kUnit + 7,
-        10 * GetParam() * kUnit}) {
-    Bytes data = random_bytes(rng, size);
-    g.put("obj" + std::to_string(size), data);
-    auto back = g.get("obj" + std::to_string(size));
-    ASSERT_TRUE(back.has_value()) << "size " << size;
-    EXPECT_EQ(*back, data) << "size " << size;
+  for (std::size_t unit : kUnits) {
+    Raid5Group g(GetParam(), 1000.0, unit);
+    for (std::size_t size : sizes(unit)) {
+      Bytes data = random_bytes(rng, size);
+      g.put("obj" + std::to_string(size), data);
+      auto back = g.get("obj" + std::to_string(size));
+      ASSERT_TRUE(back.has_value()) << "unit " << unit << " size " << size;
+      EXPECT_EQ(*back, data) << "unit " << unit << " size " << size;
+    }
   }
 }
 
 TEST_P(Raid5Fixture, SurvivesAnySingleNodeLoss) {
   Rng rng(3);
-  Bytes data = random_bytes(rng, 1000);
-  for (std::size_t victim = 0; victim < GetParam(); ++victim) {
-    Raid5Group g(GetParam(), 1000.0, kUnit);
-    g.put("x", data);
-    g.fail_node(victim);
-    EXPECT_TRUE(g.available());
-    auto back = g.get("x");
-    ASSERT_TRUE(back.has_value()) << "victim " << victim;
-    EXPECT_EQ(*back, data) << "victim " << victim;
+  for (std::size_t unit : kUnits) {
+    for (std::size_t size : sizes(unit)) {
+      Bytes data = random_bytes(rng, size);
+      for (std::size_t victim = 0; victim < GetParam(); ++victim) {
+        Raid5Group g(GetParam(), 1000.0, unit);
+        g.put("x", data);
+        g.fail_node(victim);
+        EXPECT_TRUE(g.available());
+        auto back = g.get("x");
+        ASSERT_TRUE(back.has_value())
+            << "unit " << unit << " size " << size << " victim " << victim;
+        EXPECT_EQ(*back, data)
+            << "unit " << unit << " size " << size << " victim " << victim;
+      }
+    }
   }
 }
 
 TEST_P(Raid5Fixture, RebuildRestoresRedundancy) {
   Rng rng(4);
-  Bytes data = random_bytes(rng, 2000);
-  Raid5Group g(GetParam(), 1000.0, kUnit);
-  g.put("x", data);
-  g.fail_node(1);
-  EXPECT_GT(g.rebuild_node(1), 0u);
-  // Redundancy is back: lose a different node and still read.
-  g.fail_node(0);
-  auto back = g.get("x");
-  ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(*back, data);
+  const std::size_t n = GetParam();
+  for (std::size_t unit : kUnits) {
+    for (std::size_t size : sizes(unit)) {
+      Bytes data = random_bytes(rng, size);
+      const std::size_t stripes = (size + (n - 1) * unit - 1) / ((n - 1) * unit);
+      for (std::size_t victim = 0; victim < n; ++victim) {
+        Raid5Group g(n, 1000.0, unit);
+        g.put("x", data);
+        g.fail_node(victim);
+        EXPECT_EQ(g.rebuild_node(victim), stripes * unit)
+            << "unit " << unit << " size " << size << " victim " << victim;
+        // Redundancy is back: lose a different node and still read.
+        g.fail_node((victim + 1) % n);
+        auto back = g.get("x");
+        ASSERT_TRUE(back.has_value())
+            << "unit " << unit << " size " << size << " victim " << victim;
+        EXPECT_EQ(*back, data)
+            << "unit " << unit << " size " << size << " victim " << victim;
+      }
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(GroupSizes, Raid5Fixture,
