@@ -1,9 +1,10 @@
 // Microbenchmarks (google-benchmark): real wall-clock throughput of the
 // delta codecs across page-similarity levels, plus the page-aligned
-// checkpoint compressor end to end and the put path's CRC-32C and RAID-5
-// striping. These measure the host's actual
-// compressor speed — the experiment harness uses deterministic work units
-// instead, calibrated to the paper's testbed class.
+// checkpoint compressor end to end, the put path's CRC-32C and RAID-5
+// striping, and the restart path's record parse and chain replay. These
+// measure the host's actual compressor speed — the experiment harness uses
+// deterministic work units instead, calibrated to the paper's testbed
+// class.
 #include <benchmark/benchmark.h>
 
 #include <malloc.h>
@@ -460,6 +461,27 @@ void BM_Raid5Put(benchmark::State& state) {
 }
 BENCHMARK(BM_Raid5Put)->Arg(4096)->Arg(360912)->Arg(8388608);
 
+// ---- the restart path's byte layers: record parse ----
+
+void BM_ParseCheckpoint(benchmark::State& state) {
+  // A record with a payload of the given size, as recover() parses each
+  // one it reads back: checksum, field reads and the payload copy.
+  Rng rng(7);
+  ckpt::CheckpointFile f;
+  f.kind = ckpt::CheckpointKind::kIncrementalDelta;
+  f.sequence = 9;
+  f.cpu_state = random_bytes(rng, 64);
+  f.freed_pages = {3, 5, 8};
+  f.payload = random_bytes(rng, std::size_t(state.range(0)));
+  const Bytes wire = f.serialize();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ckpt::CheckpointFile::parse(wire));
+  }
+  state.SetBytesProcessed(std::int64_t(state.iterations()) *
+                          std::int64_t(wire.size()));
+}
+BENCHMARK(BM_ParseCheckpoint)->Arg(4096)->Arg(360912)->Arg(8388608);
+
 // ---- restart reconstruction: wall time and peak heap per mode ----
 
 /// A chain whose incrementals touch every page (the worst case for
@@ -495,9 +517,32 @@ std::unique_ptr<ckpt::CheckpointChain> restore_chain(std::size_t pages) {
   return chain;
 }
 
-void restore_bench(benchmark::State& state, ckpt::RestartEngine::Mode mode) {
+/// The greedy coder's chain: a full of `pages` random pages, then an
+/// incremental whose records are all deltas (a 16-byte edit per page).
+std::unique_ptr<ckpt::CheckpointChain> greedy_chain(std::size_t pages) {
+  Rng rng(0x71B);
+  mem::AddressSpace space;
+  space.allocate_range(0, pages);
+  for (mem::PageId id = 0; id < pages; ++id) {
+    space.mutate(id, [&](std::span<std::uint8_t> b) {
+      for (auto& x : b) x = std::uint8_t(rng());
+    });
+  }
+  auto chain = std::make_unique<ckpt::CheckpointChain>();
+  chain->capture(space, {}, 0.0);
+  space.protect_all();
+  for (mem::PageId id = 0; id < pages; ++id) {
+    Bytes edit = random_bytes(rng, 16);
+    space.write(id, rng.uniform_u64(kPageSize - edit.size()), edit);
+  }
+  chain->capture(space, {}, 1.0);
+  return chain;
+}
+
+void restore_bench(benchmark::State& state, ckpt::RestartEngine::Mode mode,
+                   bool greedy = false) {
   const std::size_t pages = std::size_t(state.range(0));
-  const auto chain = restore_chain(pages);
+  const auto chain = greedy ? greedy_chain(pages) : restore_chain(pages);
   const std::vector<ckpt::CheckpointFile>& files = chain->files();
   const delta::PageAlignedCompressor pa({}, /*correcting=*/true);
   std::uint64_t peak = 0;
@@ -521,6 +566,11 @@ void BM_RestoreOutOfPlace(benchmark::State& state) {
   restore_bench(state, ckpt::RestartEngine::Mode::kOutOfPlace);
 }
 BENCHMARK(BM_RestoreOutOfPlace)->Arg(64)->Arg(512);
+
+void BM_RestoreGreedy(benchmark::State& state) {
+  restore_bench(state, ckpt::RestartEngine::Mode::kInPlace, /*greedy=*/true);
+}
+BENCHMARK(BM_RestoreGreedy)->Arg(64)->Arg(512);
 
 }  // namespace
 

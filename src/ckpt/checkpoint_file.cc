@@ -1,5 +1,8 @@
 #include "ckpt/checkpoint_file.h"
 
+#include <algorithm>
+#include <exception>
+
 #include "common/check.h"
 #include "common/crc32c.h"
 #include "common/units.h"
@@ -43,6 +46,63 @@ std::uint64_t bounded_varint(ByteReader& r, const char* field,
                               << " exceeds the " << r.remaining()
                               << " bytes remaining");
   return v;
+}
+
+/// Reads the body fields after the magic and checksum into `f`, all but
+/// the payload, whose bytes it returns as a view into the record. Checks
+/// every field in record order, ending with the trailing-bytes check.
+ByteSpan read_body(ByteReader& r, CheckpointFile& f) {
+  std::size_t at = r.pos();
+  const std::uint8_t kind = r.u8();
+  // Correcting records are legal only under the v3 magic — a v1/v2
+  // record claiming kind 3 is corrupt, not futuristic.
+  const std::uint8_t max_kind =
+      f.version >= CheckpointFile::kVersionV3
+          ? std::uint8_t(CheckpointKind::kIncrementalCorrecting)
+          : std::uint8_t(CheckpointKind::kIncrementalDelta);
+  AIC_CHECK_MSG(kind <= max_kind, "bad checkpoint kind "
+                                      << int(kind) << " at offset " << at
+                                      << " for format v" << int(f.version));
+  f.kind = CheckpointKind(kind);
+  f.sequence = r.varint();
+  f.app_time = r.f64();
+  const std::uint64_t cpu_len = bounded_varint(r, "cpu_state length");
+  ByteSpan cpu = r.raw(cpu_len);
+  f.cpu_state.assign(cpu.begin(), cpu.end());
+  const std::uint64_t freed = bounded_varint(r, "freed-page count");
+  PageId last = 0;
+  f.freed_pages.reserve(freed);
+  for (std::uint64_t i = 0; i < freed; ++i) {
+    at = r.pos();
+    const std::uint64_t step = r.varint();
+    AIC_CHECK_MSG(step <= ~PageId{0} - last,
+                  "freed-page id overflow at offset " << at);
+    last += step;
+    f.freed_pages.push_back(last);
+  }
+  const std::uint64_t payload_len = bounded_varint(r, "payload length");
+  const ByteSpan payload = r.raw(payload_len);
+  AIC_CHECK_MSG(r.done(), "trailing bytes after checkpoint at offset "
+                              << r.pos() << " (record claims to end there)");
+  return payload;
+}
+
+/// Payload bytes per checksum-and-copy step: one round of the CRC's three
+/// streams, small enough that the copy finds every byte still in L1.
+constexpr std::size_t kParseBlock = 3 * kCrc32cStreamBlock;
+
+/// Advances `crc` over `payload` and appends it to `out`, block by block,
+/// so each copy reads bytes the checksum has just pulled into cache.
+std::uint32_t checksum_and_copy(std::uint32_t crc, ByteSpan payload,
+                                Bytes& out) {
+  out.reserve(payload.size());
+  for (std::size_t at = 0; at < payload.size(); at += kParseBlock) {
+    const ByteSpan block =
+        payload.subspan(at, std::min(kParseBlock, payload.size() - at));
+    crc = crc32c_update(crc, block);
+    out.insert(out.end(), block.begin(), block.end());
+  }
+  return crc;
 }
 
 }  // namespace
@@ -107,65 +167,57 @@ CheckpointFile CheckpointFile::parse(ByteSpan data) {
         "' at offset 7 is newer than this build understands (reads v1-v" +
         std::to_string(kCurrentVersion) + ")");
   }
-  if (magic == kMagicV2 || magic == kMagicV3) {
-    f.version = magic == kMagicV3 ? kVersionV3 : kVersionV2;
-    const std::uint32_t stored = r.u32();
-    const std::uint32_t computed = record_crc(data, magic == kMagicV3);
-    if (stored != computed) {
-      // Best-effort peek at the (untrusted) sequence so the diagnostic can
-      // say which chain position is corrupt; every read is bounds-checked.
-      std::string claimed;
-      try {
-        ByteReader peek(data.subspan(kV2HeaderSize));
-        (void)peek.u8();  // kind
-        claimed = " (record claims sequence " +
-                  std::to_string(peek.varint()) + ")";
-      } catch (const CheckError&) {
-      }
-      AIC_CHECK_MSG(stored == computed,
-                    "checkpoint body checksum mismatch at offset 8: stored "
-                    "crc32c="
-                        << stored << ", computed " << computed
-                        << " over bytes [" << kV2HeaderSize << ", "
-                        << data.size() << ")" << claimed);
-    }
-  } else {
+  if (magic != kMagicV2 && magic != kMagicV3) {
     AIC_CHECK_MSG(magic == kMagicV1, "bad checkpoint magic at offset 0");
     f.version = kVersionV1;
+    const ByteSpan payload = read_body(r, f);
+    f.payload.assign(payload.begin(), payload.end());
+    return f;
   }
-  std::size_t at = r.pos();
-  const std::uint8_t kind = r.u8();
-  // Correcting records are legal only under the v3 magic — a v1/v2
-  // record claiming kind 3 is corrupt, not futuristic.
-  const std::uint8_t max_kind =
-      f.version >= kVersionV3
-          ? std::uint8_t(CheckpointKind::kIncrementalCorrecting)
-          : std::uint8_t(CheckpointKind::kIncrementalDelta);
-  AIC_CHECK_MSG(kind <= max_kind, "bad checkpoint kind "
-                                      << int(kind) << " at offset " << at
-                                      << " for format v" << int(f.version));
-  f.kind = CheckpointKind(kind);
-  f.sequence = r.varint();
-  f.app_time = r.f64();
-  const std::uint64_t cpu_len = bounded_varint(r, "cpu_state length");
-  ByteSpan cpu = r.raw(cpu_len);
-  f.cpu_state.assign(cpu.begin(), cpu.end());
-  const std::uint64_t freed = bounded_varint(r, "freed-page count");
-  PageId last = 0;
-  f.freed_pages.reserve(freed);
-  for (std::uint64_t i = 0; i < freed; ++i) {
-    at = r.pos();
-    const std::uint64_t step = r.varint();
-    AIC_CHECK_MSG(step <= ~PageId{0} - last,
-                  "freed-page id overflow at offset " << at);
-    last += step;
-    f.freed_pages.push_back(last);
+
+  f.version = magic == kMagicV3 ? kVersionV3 : kVersionV2;
+  const std::uint32_t stored = r.u32();
+  // The checksum is judged before anything the body says, exactly as if it
+  // had run over the whole record first. The body is read ahead only to
+  // find the payload, so that the copy can ride the checksum pass; an
+  // error in it waits until the checksum has matched.
+  std::exception_ptr body_error;
+  ByteSpan payload;
+  try {
+    payload = read_body(r, f);
+  } catch (const CheckError&) {
+    body_error = std::current_exception();
   }
-  const std::uint64_t payload_len = bounded_varint(r, "payload length");
-  ByteSpan payload = r.raw(payload_len);
-  f.payload.assign(payload.begin(), payload.end());
-  AIC_CHECK_MSG(r.done(), "trailing bytes after checkpoint at offset "
-                              << r.pos() << " (record claims to end there)");
+  std::uint32_t computed;
+  if (body_error) {
+    computed = record_crc(data, magic == kMagicV3);
+  } else {
+    std::uint32_t st = kCrc32cInit;
+    if (magic == kMagicV3) st = crc32c_update(st, data.first(8));
+    const std::size_t payload_at = std::size_t(payload.data() - data.data());
+    st = crc32c_update(
+        st, data.subspan(kV2HeaderSize, payload_at - kV2HeaderSize));
+    computed = crc32c_finalize(checksum_and_copy(st, payload, f.payload));
+  }
+  if (stored != computed) {
+    // Best-effort peek at the (untrusted) sequence so the diagnostic can
+    // say which chain position is corrupt; every read is bounds-checked.
+    std::string claimed;
+    try {
+      ByteReader peek(data.subspan(kV2HeaderSize));
+      (void)peek.u8();  // kind
+      claimed = " (record claims sequence " + std::to_string(peek.varint()) +
+                ")";
+    } catch (const CheckError&) {
+    }
+    AIC_CHECK_MSG(stored == computed,
+                  "checkpoint body checksum mismatch at offset 8: stored "
+                  "crc32c="
+                      << stored << ", computed " << computed << " over bytes ["
+                      << kV2HeaderSize << ", " << data.size() << ")"
+                      << claimed);
+  }
+  if (body_error) std::rethrow_exception(body_error);
   return f;
 }
 
@@ -206,17 +258,16 @@ Bytes encode_raw_pages(const std::vector<delta::DirtyPage>& pages) {
   return out;
 }
 
-std::vector<std::pair<PageId, Bytes>> decode_raw_pages(ByteSpan payload) {
+std::vector<std::pair<PageId, ByteSpan>> decode_raw_pages(ByteSpan payload) {
   ByteReader r(payload);
   const std::uint64_t count = r.varint();
   AIC_CHECK_MSG(count <= r.remaining() / kPageSize,
                 "raw-page count " << count << " exceeds payload size");
-  std::vector<std::pair<PageId, Bytes>> out;
+  std::vector<std::pair<PageId, ByteSpan>> out;
   out.reserve(count);
   for (std::uint64_t i = 0; i < count; ++i) {
     const PageId id = r.varint();
-    ByteSpan bytes = r.raw(kPageSize);
-    out.emplace_back(id, Bytes(bytes.begin(), bytes.end()));
+    out.emplace_back(id, r.raw(kPageSize));
   }
   AIC_CHECK_MSG(r.done(), "trailing bytes in raw-page payload");
   return out;

@@ -133,7 +133,8 @@ struct CheckpointFile {
 
 /// Raw-page payload of full (and read-only kIncremental) files:
 ///   varint page_count, then per page: varint id, kPageSize raw bytes.
+/// decode_raw_pages returns views into `payload`, valid while it lives.
 Bytes encode_raw_pages(const std::vector<delta::DirtyPage>& pages);
-std::vector<std::pair<PageId, Bytes>> decode_raw_pages(ByteSpan payload);
+std::vector<std::pair<PageId, ByteSpan>> decode_raw_pages(ByteSpan payload);
 
 }  // namespace aic::ckpt

@@ -14,8 +14,24 @@
 // reflected CRC register advanced byte by byte — so they return identical
 // values for every input and split, and a record written on one host
 // verifies on any other. The dispatch needs no build option.
+//
+// Three streams. One `crc32` has a latency of three cycles but the core
+// can start one every cycle, so a single dependent chain runs at a third
+// of the instruction's throughput. On inputs of at least three
+// kCrc32cStreamBlock blocks the SSE4.2 path runs three independent chains
+// side by side, one per block, and folds them. The fold rests on the
+// register being linear over GF(2) in its start value and the data: the
+// register over A|B|C equals shift(shift(a) ^ b) ^ c, where a is the
+// register carried over A, b and c are registers started from zero over
+// B and C, and shift advances a register over one block of zero bytes.
+// shift is a fixed linear map on 32 bits, kept as a table of four
+// byte-indexed parts built once from the images of the 32 single bits.
+// The fold is an identity, not an approximation, so the result equals the
+// slice-by-8 walk's bit for bit; shorter inputs and the tail after the
+// last three blocks run one chain, as before.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
 #include "common/bytes.h"
@@ -31,6 +47,12 @@ std::uint32_t crc32c(ByteSpan data);
 inline constexpr std::uint32_t kCrc32cInit = 0xFFFFFFFFu;
 std::uint32_t crc32c_update(std::uint32_t state, ByteSpan data);
 inline std::uint32_t crc32c_finalize(std::uint32_t state) { return ~state; }
+
+/// Block of each of the SSE4.2 path's three streams: inputs of at least
+/// 3 * kCrc32cStreamBlock bytes run three chains. A caller that checksums
+/// a buffer piecewise keeps every piece on that path by cutting it at
+/// multiples of 3 * kCrc32cStreamBlock.
+inline constexpr std::size_t kCrc32cStreamBlock = 4096;
 
 namespace detail {
 

@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <unordered_map>
+#include <unordered_set>
 
 #include "common/check.h"
 #include "common/units.h"
@@ -19,6 +20,63 @@ void merge_codec_stats(CodecStats& acc, const CodecStats& st) {
   acc.work_units += st.work_units;
   acc.copy_ops += st.copy_ops;
   acc.add_ops += st.add_ops;
+}
+
+/// One record of a page-aligned payload, as both decoders read it.
+struct PageRecord {
+  PageId id;
+  std::uint8_t kind;
+  PageId src;     // cdelta only; == id for in-frame deltas
+  ByteSpan body;  // raw/delta/cdelta bytes, a view into the payload
+};
+
+/// Reads every record of a page-aligned payload and checks all that needs
+/// no previous image: the count, each kind, the trailing bytes, and that
+/// no page appears twice (a second record would overwrite the first's
+/// page, or decode against it). Encoders write ids in ascending order, so
+/// the duplicate check costs one compare per record; only an out-of-order
+/// payload pays for a set of ids.
+std::vector<PageRecord> read_records(ByteSpan payload) {
+  ByteReader r(payload);
+  const std::uint64_t count = r.varint();
+  // Each record costs at least two bytes (id varint + kind); a hostile
+  // count must die here, not in the vector allocation below.
+  AIC_CHECK_MSG(count <= r.remaining() / 2,
+                "page-delta record count " << count
+                                           << " exceeds payload size");
+  std::vector<PageRecord> recs;
+  recs.reserve(count);
+  bool ascending = true;
+  for (std::uint64_t i = 0; i < count; ++i) {
+    PageRecord rec{};
+    rec.id = r.varint();
+    rec.kind = r.u8();
+    rec.src = rec.id;
+    ascending = ascending && (recs.empty() || rec.id > recs.back().id);
+    if (rec.kind != kKindSame) {
+      AIC_CHECK_MSG(rec.kind == kKindRaw || rec.kind == kKindDelta ||
+                        rec.kind == kKindCDelta,
+                    "bad page kind " << int(rec.kind));
+      if (rec.kind == kKindCDelta) rec.src = r.varint();
+      rec.body = r.raw(r.varint());
+    }
+    recs.push_back(rec);
+  }
+  AIC_CHECK_MSG(r.done(), "trailing bytes in page-delta payload");
+  if (!ascending) {
+    std::unordered_set<PageId> seen;
+    seen.reserve(recs.size());
+    for (const PageRecord& rec : recs)
+      AIC_CHECK_MSG(seen.insert(rec.id).second,
+                    "page " << rec.id << " appears twice in one payload");
+  }
+  return recs;
+}
+
+void check_raw_body(const PageRecord& rec) {
+  AIC_CHECK_MSG(rec.body.size() == kPageSize,
+                "raw page " << rec.id << " body is " << rec.body.size()
+                            << " bytes, expected " << kPageSize);
 }
 
 }  // namespace
@@ -148,94 +206,51 @@ DeltaResult PageAlignedCompressor::compress(
 mem::Snapshot PageAlignedCompressor::decompress(
     ByteSpan payload, const mem::Snapshot& prev) const {
   mem::Snapshot out;
-  ByteReader r(payload);
-  const std::uint64_t count = r.varint();
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const PageId id = r.varint();
-    const std::uint8_t kind = r.u8();
-    if (kind == kKindSame) {
-      AIC_CHECK_MSG(prev.contains(id),
-                    "same page " << id << " missing from previous snapshot");
-      out.put_page(id, prev.page_bytes(id));
-      continue;
-    }
-    PageId src = id;
-    if (kind == kKindCDelta) src = r.varint();
-    const std::uint64_t len = r.varint();
-    ByteSpan body = r.raw(len);
-    if (kind == kKindRaw) {
-      AIC_CHECK_MSG(body.size() == kPageSize,
-                    "raw page " << id << " body is " << body.size()
-                                << " bytes, expected " << kPageSize);
-      out.put_page(id, body);
-    } else if (kind == kKindDelta) {
-      AIC_CHECK_MSG(prev.contains(id),
-                    "delta page " << id << " missing from previous snapshot");
-      Bytes page = codec_.decode(prev.page_bytes(id), body);
-      AIC_CHECK(page.size() == kPageSize);
-      out.put_page(id, page);
-    } else if (kind == kKindCDelta) {
-      AIC_CHECK_MSG(prev.contains(src), "cdelta page "
-                                            << id << " source page " << src
-                                            << " missing from previous "
-                                               "snapshot");
-      Bytes page = ccodec_.decode(prev.page_bytes(src), body);
-      AIC_CHECK(page.size() == kPageSize);
-      out.put_page(id, page);
-    } else {
-      AIC_CHECK_MSG(false, "bad page kind " << int(kind));
+  for (const PageRecord& rec : read_records(payload)) {
+    switch (rec.kind) {
+      case kKindSame:
+        AIC_CHECK_MSG(prev.contains(rec.id),
+                      "same page " << rec.id
+                                   << " missing from previous snapshot");
+        out.put_page(rec.id, prev.page_bytes(rec.id));
+        break;
+      case kKindRaw:
+        check_raw_body(rec);
+        out.put_page(rec.id, rec.body);
+        break;
+      case kKindDelta: {
+        AIC_CHECK_MSG(prev.contains(rec.id),
+                      "delta page " << rec.id
+                                    << " missing from previous snapshot");
+        Bytes page = codec_.decode(prev.page_bytes(rec.id), rec.body);
+        AIC_CHECK(page.size() == kPageSize);
+        out.put_page(rec.id, page);
+        break;
+      }
+      case kKindCDelta: {
+        AIC_CHECK_MSG(prev.contains(rec.src),
+                      "cdelta page " << rec.id << " source page " << rec.src
+                                     << " missing from previous snapshot");
+        Bytes page = ccodec_.decode(prev.page_bytes(rec.src), rec.body);
+        AIC_CHECK(page.size() == kPageSize);
+        out.put_page(rec.id, page);
+        break;
+      }
     }
   }
-  AIC_CHECK_MSG(r.done(), "trailing bytes in page-delta payload");
   return out;
 }
 
 void PageAlignedCompressor::decompress_in_place(ByteSpan payload,
                                                 mem::Snapshot& state) const {
-  struct Rec {
-    PageId id;
-    std::uint8_t kind;
-    PageId src;     // cdelta only; == id for in-frame deltas
-    ByteSpan body;  // raw/delta/cdelta instruction bytes (into payload)
-  };
-  ByteReader r(payload);
-  const std::uint64_t count = r.varint();
-  // Each record costs at least two bytes (id varint + kind); a hostile
-  // count must die here, not in the vector allocation below.
-  AIC_CHECK_MSG(count <= r.remaining() / 2,
-                "page-delta record count " << count
-                                           << " exceeds payload size");
-  std::vector<Rec> recs;
-  recs.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    Rec rec;
-    rec.id = r.varint();
-    rec.kind = r.u8();
-    rec.src = rec.id;
-    if (rec.kind == kKindSame) {
-      recs.push_back(rec);
-      continue;
-    }
-    AIC_CHECK_MSG(rec.kind == kKindRaw || rec.kind == kKindDelta ||
-                      rec.kind == kKindCDelta,
-                  "bad page kind " << int(rec.kind));
-    if (rec.kind == kKindCDelta) rec.src = r.varint();
-    rec.body = r.raw(r.varint());
-    recs.push_back(rec);
-  }
-  AIC_CHECK_MSG(r.done(), "trailing bytes in page-delta payload");
+  const std::vector<PageRecord> recs = read_records(payload);
 
-  // Pass 1: index writers and the last cross-frame reader of every source
-  // page. A frame whose old content is still needed by a later move record
-  // must be stashed before it is overwritten — and can be dropped the
-  // moment its last reader has run.
+  // Pass 1: index the last cross-frame reader of every source page. A
+  // frame whose old content is still needed by a later move record must
+  // be stashed before it is overwritten — and can be dropped the moment
+  // its last reader has run.
   std::unordered_map<PageId, std::size_t> last_reader;
-  std::unordered_map<PageId, std::size_t> writer;
-  writer.reserve(recs.size());
   for (std::size_t i = 0; i < recs.size(); ++i) {
-    const auto [it, inserted] = writer.emplace(recs[i].id, i);
-    AIC_CHECK_MSG(inserted, "page " << recs[i].id
-                                    << " appears twice in one payload");
     if (recs[i].kind == kKindCDelta && recs[i].src != recs[i].id) {
       // `state` is pristine here, so this is the same "source must exist in
       // the previous image" rule decompress() enforces — checked now because
@@ -250,11 +265,12 @@ void PageAlignedCompressor::decompress_in_place(ByteSpan payload,
   }
 
   // Pass 2: apply in stream order, mutating frames where they sit. Extra
-  // memory is one transient decoded page (kinds raw aside) plus whatever
-  // mover sources are live in the stash at that instant.
+  // memory is one scratch page, reused by every greedy delta, plus
+  // whatever mover sources are live in the stash at that instant.
   std::unordered_map<PageId, Bytes> stash;
+  Bytes scratch;
   for (std::size_t i = 0; i < recs.size(); ++i) {
-    const Rec& rec = recs[i];
+    const PageRecord& rec = recs[i];
     if (auto lr = last_reader.find(rec.id);
         lr != last_reader.end() && lr->second > i && !stash.contains(rec.id) &&
         state.contains(rec.id)) {
@@ -268,28 +284,30 @@ void PageAlignedCompressor::decompress_in_place(ByteSpan payload,
                                    << " missing from restart image");
         break;
       case kKindRaw:
-        AIC_CHECK_MSG(rec.body.size() == kPageSize,
-                      "raw page " << rec.id << " body is " << rec.body.size()
-                                  << " bytes, expected " << kPageSize);
+        check_raw_body(rec);
         state.put_page(rec.id, rec.body);
         break;
       case kKindDelta: {
-        AIC_CHECK_MSG(state.contains(rec.id),
-                      "delta page " << rec.id
-                                    << " missing from restart image");
-        Bytes page = codec_.decode(state.page_bytes(rec.id), rec.body);
-        AIC_CHECK(page.size() == kPageSize);
-        state.put_page(rec.id, page);
+        const std::span<std::uint8_t> frame = state.find_page(rec.id);
+        AIC_CHECK_MSG(!frame.empty(), "delta page "
+                                          << rec.id
+                                          << " missing from restart image");
+        // A greedy COPY may read any byte of the old frame, so the page
+        // decodes into scratch and then replaces the frame whole.
+        codec_.decode_to(frame, rec.body, scratch);
+        AIC_CHECK(scratch.size() == kPageSize);
+        copy_no_overlap(frame.data(), scratch.data(), kPageSize);
         break;
       }
       case kKindCDelta: {
         if (rec.src == rec.id) {
-          AIC_CHECK_MSG(state.contains(rec.id),
-                        "cdelta page " << rec.id
-                                       << " missing from restart image");
+          const std::span<std::uint8_t> frame = state.find_page(rec.id);
+          AIC_CHECK_MSG(!frame.empty(), "cdelta page "
+                                            << rec.id
+                                            << " missing from restart image");
           // The payoff case: the correcting stream rewrites the frame where
           // it sits — no decoded copy at all.
-          ccodec_.apply_in_place(state.mutable_page_bytes(rec.id), rec.body);
+          ccodec_.apply_in_place(frame, rec.body);
           break;
         }
         ByteSpan source;

@@ -102,6 +102,8 @@ class PageAlignedCompressor {
 
   /// Inverse: reconstructs the dirty pages' images given the same `prev`.
   /// Decodes every record kind regardless of the compressor's encode mode.
+  /// Both decoders read the payload through one record reader, so they
+  /// reject the same malformed payloads — a page named twice included.
   mem::Snapshot decompress(ByteSpan payload, const mem::Snapshot& prev) const;
 
   /// Applies the payload directly onto `state` (the accumulated restart

@@ -232,6 +232,13 @@ void XDelta3Codec::encode_to(ByteSpan source, ByteSpan target, ByteWriter& w,
 
 Bytes XDelta3Codec::decode(ByteSpan source, ByteSpan delta,
                            CodecStats* stats) const {
+  Bytes out;
+  decode_to(source, delta, out, stats);
+  return out;
+}
+
+void XDelta3Codec::decode_to(ByteSpan source, ByteSpan delta, Bytes& out,
+                             CodecStats* stats) const {
   CodecStats st;
   ByteReader r(delta);
   const std::uint64_t source_size = r.varint();
@@ -240,7 +247,7 @@ Bytes XDelta3Codec::decode(ByteSpan source, ByteSpan delta,
                 "delta was made against a different source");
   // The header is untrusted: reserve no more than the delta's bytes plus
   // one source's worth. Past that the buffer grows on demand.
-  Bytes out;
+  out.clear();
   out.reserve(std::min<std::uint64_t>(target_size,
                                       r.remaining() + source.size()));
   while (!r.done()) {
@@ -272,7 +279,6 @@ Bytes XDelta3Codec::decode(ByteSpan source, ByteSpan delta,
   st.source_bytes = source.size();
   st.output_bytes = delta.size();
   if (stats) *stats = st;
-  return out;
 }
 
 }  // namespace aic::delta

@@ -64,6 +64,11 @@ class XDelta3Codec final : public DeltaCodec {
                  CodecStats* stats = nullptr) const;
   Bytes decode(ByteSpan source, ByteSpan delta,
                CodecStats* stats = nullptr) const override;
+  /// decode(), replacing the contents of `out` and keeping its capacity,
+  /// so one buffer can serve many calls without reallocating. `out` must
+  /// not alias `source`.
+  void decode_to(ByteSpan source, ByteSpan delta, Bytes& out,
+                 CodecStats* stats = nullptr) const;
 
   const XDelta3Config& config() const { return config_; }
 

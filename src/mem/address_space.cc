@@ -7,16 +7,25 @@
 
 namespace aic::mem {
 
+AddressSpace::Entry& AddressSpace::insert_page(PageId id) {
+  auto [it, inserted] =
+      pages_.try_emplace(id, Entry{std::make_unique_for_overwrite<PageData>()});
+  AIC_CHECK_MSG(inserted, "double allocation of page " << id);
+  return it->second;
+}
+
 void AddressSpace::allocate(PageId id) {
-  AIC_CHECK_MSG(!pages_.contains(id), "double allocation of page " << id);
-  Entry entry;
-  entry.data = std::make_unique<PageData>();
+  Entry& entry = insert_page(id);
   std::memset(entry.data->bytes, 0, kPageSize);
-  entry.protected_ = false;
-  auto [it, inserted] = pages_.emplace(id, std::move(entry));
-  AIC_CHECK(inserted);
   // A freshly allocated page must appear in the next checkpoint.
-  touch(id, it->second);
+  touch(id, entry);
+}
+
+void AddressSpace::allocate(PageId id, ByteSpan bytes) {
+  AIC_CHECK(bytes.size() == kPageSize);
+  Entry& entry = insert_page(id);
+  std::memcpy(entry.data->bytes, bytes.data(), kPageSize);
+  touch(id, entry);
 }
 
 void AddressSpace::allocate_range(PageId first, std::uint64_t count) {

@@ -50,10 +50,18 @@ class AddressSpace {
   /// Allocates a zero-filled page. Allocation counts as a write: the page
   /// starts dirty (a brand-new page must enter the next checkpoint).
   void allocate(PageId id);
+  /// Allocates a page holding `bytes` (kPageSize of them): allocate() then
+  /// write_page() without the zero fill, in one lookup.
+  void allocate(PageId id, ByteSpan bytes);
   /// Allocates [first, first+count).
   void allocate_range(PageId first, std::uint64_t count);
   /// Frees a page; it disappears from subsequent checkpoints.
   void free_page(PageId id);
+  /// Makes room for `pages` pages (and as many dirty marks) up front.
+  void reserve(std::size_t pages) {
+    pages_.reserve(pages);
+    dirty_.reserve(pages);
+  }
 
   bool contains(PageId id) const { return pages_.contains(id); }
   std::size_t page_count() const { return pages_.size(); }
@@ -101,6 +109,9 @@ class AddressSpace {
     bool protected_ = false;  // armed for fault-on-write
   };
 
+  /// Inserts an unprotected page with uninitialized bytes; throws on a
+  /// double allocation. The caller fills the bytes and touches the page.
+  Entry& insert_page(PageId id);
   /// Marks the page dirty, firing the fault observer if it was protected.
   void touch(PageId id, Entry& entry);
 

@@ -23,25 +23,17 @@ ByteSpan Snapshot::page_bytes(PageId id) const {
   return ByteSpan(it->second->bytes, kPageSize);
 }
 
-std::span<std::uint8_t> Snapshot::mutable_page_bytes(PageId id) {
+std::span<std::uint8_t> Snapshot::find_page(PageId id) {
   auto it = pages_.find(id);
-  AIC_CHECK_MSG(it != pages_.end(), "snapshot missing page " << id);
+  if (it == pages_.end()) return {};
   return std::span<std::uint8_t>(it->second->bytes, kPageSize);
-}
-
-std::span<std::uint8_t> Snapshot::ensure_page(PageId id) {
-  auto& slot = pages_[id];
-  if (!slot) {
-    slot = std::make_unique<PageData>();
-    std::memset(slot->bytes, 0, kPageSize);
-  }
-  return std::span<std::uint8_t>(slot->bytes, kPageSize);
 }
 
 void Snapshot::put_page(PageId id, ByteSpan bytes) {
   AIC_CHECK(bytes.size() == kPageSize);
   auto& slot = pages_[id];
-  if (!slot) slot = std::make_unique<PageData>();
+  // A new frame is overwritten whole at once: no zero fill first.
+  if (!slot) slot = std::make_unique_for_overwrite<PageData>();
   std::memcpy(slot->bytes, bytes.data(), kPageSize);
 }
 
@@ -59,10 +51,9 @@ void Snapshot::overlay_onto(Snapshot& base) const {
 
 AddressSpace Snapshot::materialize() const {
   AddressSpace space;
-  for (const auto& [id, data] : pages_) {
-    space.allocate(id);
-    space.write_page(id, ByteSpan(data->bytes, kPageSize));
-  }
+  space.reserve(pages_.size());
+  for (const auto& [id, data] : pages_)
+    space.allocate(id, ByteSpan(data->bytes, kPageSize));
   return space;
 }
 

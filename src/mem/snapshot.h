@@ -32,14 +32,10 @@ class Snapshot {
   /// Page image bytes; page must be present.
   ByteSpan page_bytes(PageId id) const;
 
-  /// Writable view of a present page's image — the in-place restore path
-  /// rewrites page frames where they sit instead of building a second
-  /// snapshot.
-  std::span<std::uint8_t> mutable_page_bytes(PageId id);
-
-  /// Like mutable_page_bytes, but creates a zero-filled page first when
-  /// absent.
-  std::span<std::uint8_t> ensure_page(PageId id);
+  /// Writable view of a page's image, empty when the page is absent — one
+  /// lookup for the in-place restore path, which rewrites page frames
+  /// where they sit instead of building a second snapshot.
+  std::span<std::uint8_t> find_page(PageId id);
 
   /// Inserts or replaces a page image.
   void put_page(PageId id, ByteSpan bytes);

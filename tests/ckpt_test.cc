@@ -3,6 +3,7 @@
 // mutation history reproduces the address space exactly.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <limits>
 
@@ -78,9 +79,9 @@ TEST(CheckpointFile, RawPagesRoundTrip) {
   auto pages = decode_raw_pages(payload);
   ASSERT_EQ(pages.size(), 2u);
   EXPECT_EQ(pages[0].first, 3u);
-  EXPECT_EQ(pages[0].second, a);
+  EXPECT_TRUE(std::ranges::equal(pages[0].second, a));
   EXPECT_EQ(pages[1].first, 17u);
-  EXPECT_EQ(pages[1].second, b);
+  EXPECT_TRUE(std::ranges::equal(pages[1].second, b));
 }
 
 TEST(Checkpointer, FullCaptureAndRestore) {
@@ -426,20 +427,61 @@ TEST(CheckpointFileV2, ParsesV1Records) {
   EXPECT_EQ(f.payload, (Bytes{9, 9, 9}));
 }
 
+/// A v2 and a v3 record, each with a CPU state, freed pages and a payload
+/// longer than one checksum-and-copy block (one round of the CRC's three
+/// streams), so a flip or a cut can land in any field, in the first
+/// payload block or in the one after it.
+std::vector<Bytes> checksummed_records() {
+  Rng rng(21);
+  std::vector<Bytes> wires;
+  for (CheckpointKind kind : {CheckpointKind::kIncrementalDelta,
+                              CheckpointKind::kIncrementalCorrecting}) {
+    CheckpointFile f;
+    f.kind = kind;
+    f.sequence = 42;
+    f.cpu_state = {1, 2, 3};
+    f.freed_pages = {5, 6, 300};
+    f.payload.resize(3 * kCrc32cStreamBlock + 1000);
+    for (auto& b : f.payload) b = std::uint8_t(rng());
+    wires.push_back(f.serialize());
+  }
+  return wires;
+}
+
+/// The CheckError message parse() throws, or "parsed" if it throws none.
+std::string parse_error(ByteSpan wire) {
+  try {
+    (void)CheckpointFile::parse(wire);
+  } catch (const CheckError& e) {
+    return e.what();
+  }
+  return "parsed";
+}
+
+// The checksum speaks first, whatever a flip or a cut does to the fields
+// behind it: the parse that copies the payload while checksumming it must
+// report exactly what a checksum-first parse reports.
 TEST(CheckpointFileV2, EveryBodyBitFlipFailsTheChecksum) {
-  CheckpointFile f;
-  f.kind = CheckpointKind::kIncrementalDelta;
-  f.sequence = 42;
-  f.cpu_state = {1, 2, 3};
-  f.freed_pages = {5, 6};
-  f.payload = {7, 8, 9, 10};
-  const Bytes wire = f.serialize();
-  for (std::size_t off = 12; off < wire.size(); ++off) {
-    for (int bit = 0; bit < 8; ++bit) {
-      Bytes bad = wire;
-      bad[off] ^= std::uint8_t(1u << bit);
-      EXPECT_THROW((void)CheckpointFile::parse(bad), CheckError)
-          << "offset " << off << " bit " << bit;
+  for (Bytes wire : checksummed_records()) {
+    ASSERT_EQ(parse_error(wire), "parsed");
+    for (std::size_t off = 12; off < wire.size(); ++off) {
+      for (int bit = 0; bit < 8; ++bit) {
+        wire[off] ^= std::uint8_t(1u << bit);
+        const std::string what = parse_error(wire);
+        ASSERT_NE(what.find("checksum mismatch at offset 8"), std::string::npos)
+            << "offset " << off << " bit " << bit << ": " << what;
+        wire[off] ^= std::uint8_t(1u << bit);
+      }
+    }
+  }
+}
+
+TEST(CheckpointFileV2, EveryTruncationPastTheHeaderFailsTheChecksum) {
+  for (const Bytes& wire : checksummed_records()) {
+    for (std::size_t keep = 12; keep < wire.size(); ++keep) {
+      const std::string what = parse_error(ByteSpan(wire).first(keep));
+      ASSERT_NE(what.find("checksum mismatch at offset 8"), std::string::npos)
+          << "truncated to " << keep << " bytes: " << what;
     }
   }
 }

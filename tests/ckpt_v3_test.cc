@@ -4,11 +4,13 @@
 // out-of-place restore equivalence over evolving chains, and the
 // restart-memory claim — in-place restore must peak at no more than 55%
 // of the out-of-place heap high-water mark (measured by the binary-wide
-// allocation guard in tests/heap_guard.h).
+// allocation guard in tests/heap_guard.h) — the per-page allocation bound
+// of a greedy replay, and the duplicate-page rule both decoders share.
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "ckpt/checkpoint_file.h"
@@ -242,6 +244,81 @@ TEST(CheckpointV3, InPlaceRestorePeakHeapAtMostHalfOfOutOfPlace) {
   EXPECT_GE(peak_in, 64u * kPageSize);
   EXPECT_LE(peak_in * 100, peak_out * 55)
       << "in-place peak " << peak_in << " vs out-of-place " << peak_out;
+}
+
+TEST(CheckpointV3, GreedyReplayAllocatesPerPageOnlyForTheFull) {
+  // A full of N pages plus one incremental whose N records are all greedy
+  // deltas. The full costs each page its map node and its frame; the
+  // deltas decode into one reused scratch page and are copied into their
+  // frames, so the whole restore stays within 2N allocations plus a few
+  // per file.
+  for (const std::size_t n : {std::size_t{64}, std::size_t{512}}) {
+    Rng rng(0x38 + n);
+    mem::AddressSpace space;
+    space.allocate_range(0, n);
+    for (mem::PageId id = 0; id < n; ++id) randomize_page(space, id, rng);
+    CheckpointChain::Config cfg;
+    cfg.compress_workers = 1;
+    CheckpointChain chain(cfg);
+    chain.capture(space, {}, 0.0);
+    space.protect_all();
+    for (mem::PageId id = 0; id < n; ++id) small_edit(space, id, rng);
+    ASSERT_EQ(chain.capture(space, {}, 1.0).pages_delta, n);
+
+    const delta::PageAlignedCompressor pa;
+    const std::uint64_t before = aic::testing::heap_stats().allocations;
+    const auto restored = RestartEngine::restore(chain.files(), pa);
+    const std::uint64_t allocations =
+        aic::testing::heap_stats().allocations - before;
+    ASSERT_TRUE(restored.memory.equals_space(space));
+    EXPECT_LE(allocations, 2 * n + 8) << n << " pages";
+  }
+}
+
+TEST(CheckpointV3, PageNamedTwiceIsRejectedInBothModes) {
+  // A writer bug behind a valid checksum: one payload carries two records
+  // for one page. Both decoders read payloads through one record reader,
+  // so in-place and out-of-place restore reject it alike, whether the ids
+  // repeat in order (0, 0) or out of it (3, 1, 3).
+  Rng rng(0x39);
+  mem::AddressSpace space;
+  space.allocate_range(0, 4);
+  for (mem::PageId id = 0; id < 4; ++id) randomize_page(space, id, rng);
+  CheckpointChain chain;
+  chain.capture(space, {}, 0.0);
+  const mem::Snapshot& prev = chain.last_state();
+  const delta::PageAlignedCompressor pa;
+  for (const std::vector<mem::PageId>& ids :
+       {std::vector<mem::PageId>{0, 0}, std::vector<mem::PageId>{3, 1, 3}}) {
+    std::vector<Bytes> images;
+    for (mem::PageId id : ids) {
+      Bytes image(prev.page_bytes(id).begin(), prev.page_bytes(id).end());
+      image[rng.uniform_u64(kPageSize)] ^= 0x5A;
+      images.push_back(std::move(image));
+    }
+    std::vector<delta::DirtyPage> dirty;
+    for (std::size_t i = 0; i < ids.size(); ++i)
+      dirty.push_back({ids[i], images[i]});
+    CheckpointFile incremental;
+    incremental.kind = CheckpointKind::kIncrementalDelta;
+    incremental.sequence = 1;
+    incremental.payload = pa.compress(dirty, prev).payload;
+    const std::vector<CheckpointFile> files = {chain.files()[0], incremental};
+    for (const RestartEngine::Mode mode :
+         {RestartEngine::Mode::kInPlace, RestartEngine::Mode::kOutOfPlace}) {
+      try {
+        (void)RestartEngine::restore(files, pa, mode);
+        ADD_FAILURE() << "restored a payload naming page " << ids.back()
+                      << " twice";
+      } catch (const CheckError& e) {
+        EXPECT_NE(std::string(e.what()).find("page " +
+                                             std::to_string(ids.back()) +
+                                             " appears twice"),
+                  std::string::npos)
+            << e.what();
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -414,5 +414,38 @@ TEST(Crc32c, Sse42MatchesDefinition) {
 #endif
 }
 
+TEST(Crc32c, ThreeStreamPathMatchesSliceBy8) {
+#if defined(__x86_64__)
+  if (!__builtin_cpu_supports("sse4.2")) GTEST_SKIP() << "no SSE4.2";
+  // Lengths on both sides of one, two and three rounds of three streams,
+  // and of the single-stream tail's word and byte steps, at every start
+  // offset 0-7 and from three start registers.
+  constexpr std::size_t kRound = 3 * kCrc32cStreamBlock;
+  Rng rng(14);
+  Bytes data(3 * kRound + 64);
+  for (auto& b : data) b = std::uint8_t(rng());
+  for (std::size_t rounds = 1; rounds <= 3; ++rounds) {
+    for (std::size_t len = rounds * kRound - 9; len <= rounds * kRound + 17;
+         ++len) {
+      for (std::size_t off = 0; off < 8; ++off) {
+        for (std::uint32_t state : {kCrc32cInit, 0u, 0x1EDC6F41u}) {
+          const ByteSpan span = ByteSpan(data).subspan(off, len);
+          ASSERT_EQ(detail::crc32c_update_sse42(state, span),
+                    detail::crc32c_update_slice8(state, span))
+              << "offset " << off << " length " << len << " state " << state;
+        }
+      }
+    }
+  }
+  // One long input: 85 rounds and a tail.
+  Bytes big((1 << 20) + 13);
+  for (auto& b : big) b = std::uint8_t(rng());
+  EXPECT_EQ(detail::crc32c_update_sse42(kCrc32cInit, big),
+            crc32c_bitwise(kCrc32cInit, big));
+#else
+  GTEST_SKIP() << "the SSE4.2 path exists on x86-64 only";
+#endif
+}
+
 }  // namespace
 }  // namespace aic

@@ -6,6 +6,7 @@
 // hot path and the disabled path must not allocate.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
@@ -112,6 +113,66 @@ void operator delete(void* p, std::size_t) noexcept {
   std::free(p);
 }
 void operator delete(void* p, const std::nothrow_t&) noexcept {
+  note_free(p);
+  std::free(p);
+}
+
+// Over-aligned types (alignof > __STDCPP_DEFAULT_NEW_ALIGNMENT__) allocate
+// through the std::align_val_t overloads, which do not forward to the
+// ones above: without these the guard would not see them at all.
+namespace {
+void* aligned_malloc(std::size_t size, std::align_val_t align) {
+  void* p = nullptr;
+  const std::size_t a = std::max(std::size_t(align), sizeof(void*));
+  return posix_memalign(&p, a, std::max<std::size_t>(size, 1)) == 0 ? p
+                                                                     : nullptr;
+}
+}  // namespace
+
+void* operator new(std::size_t size, std::align_val_t align) {
+  if (void* p = aligned_malloc(size, align)) {
+    note_alloc(p);
+    return p;
+  }
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size, std::align_val_t align) {
+  return ::operator new(size, align);
+}
+void* operator new(std::size_t size, std::align_val_t align,
+                   const std::nothrow_t&) noexcept {
+  void* p = aligned_malloc(size, align);
+  note_alloc(p);
+  return p;
+}
+void* operator new[](std::size_t size, std::align_val_t align,
+                     const std::nothrow_t& tag) noexcept {
+  return ::operator new(size, align, tag);
+}
+
+void operator delete(void* p, std::align_val_t) noexcept {
+  note_free(p);
+  std::free(p);
+}
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  note_free(p);
+  std::free(p);
+}
+void operator delete(void* p, std::align_val_t,
+                     const std::nothrow_t&) noexcept {
+  note_free(p);
+  std::free(p);
+}
+void operator delete[](void* p, std::align_val_t) noexcept {
+  note_free(p);
+  std::free(p);
+}
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  note_free(p);
+  std::free(p);
+}
+void operator delete[](void* p, std::align_val_t,
+                       const std::nothrow_t&) noexcept {
   note_free(p);
   std::free(p);
 }
@@ -630,6 +691,33 @@ TEST(ObsTest, HotPathDoesNotAllocate) {
       << "counter/gauge/histogram/trace-drop hot paths must not allocate";
   EXPECT_EQ(c->value(), 1000u);
   EXPECT_EQ(log.dropped(), 1000u);
+}
+
+TEST(HeapGuard, CountsOverAlignedAllocations) {
+  // Scalar, array and nothrow forms of an over-aligned type: each moves
+  // the count and the live bytes, and its delete gives the bytes back.
+  struct alignas(256) Wide {
+    std::uint8_t bytes[1024];
+  };
+  static void* volatile sink;  // keeps the allocations from being elided
+  const aic::testing::HeapStats before = aic::testing::heap_stats();
+  Wide* one = new Wide;
+  sink = one;
+  Wide* many = new Wide[3];
+  sink = many;
+  Wide* maybe = new (std::nothrow) Wide;
+  sink = maybe;
+  const aic::testing::HeapStats during = aic::testing::heap_stats();
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(one) % alignof(Wide), 0u);
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(many) % alignof(Wide), 0u);
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(maybe) % alignof(Wide), 0u);
+  EXPECT_EQ(sink, static_cast<void*>(maybe));
+  delete one;
+  delete[] many;
+  delete maybe;
+  EXPECT_EQ(during.allocations - before.allocations, 3u);
+  EXPECT_GE(during.live_bytes - before.live_bytes, 5 * sizeof(Wide));
+  EXPECT_EQ(aic::testing::heap_stats().live_bytes, before.live_bytes);
 }
 
 TEST(ObsTest, DisabledSitePatternDoesNotAllocate) {

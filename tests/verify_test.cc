@@ -192,6 +192,35 @@ TEST(ChainVerifier, GarbagePayloadBehindValidCrcIsCaught) {
   }
 }
 
+TEST(ChainVerifier, PayloadNamingAPageTwiceIsUndecodable) {
+  // A writer bug behind a valid checksum: the last incremental's payload
+  // carries two delta records for page 0. Restore rejects it in place and
+  // out of place, so fsck must reject it too.
+  auto records = build_chain(3, 12);
+  std::vector<CheckpointFile> before;
+  for (std::size_t i = 0; i + 1 < records.size(); ++i)
+    before.push_back(CheckpointFile::parse(records[i]));
+  const delta::PageAlignedCompressor pa;
+  const mem::Snapshot prev = ckpt::RestartEngine::restore(before, pa).memory;
+  ASSERT_TRUE(prev.contains(0));
+  Bytes first(prev.page_bytes(0).begin(), prev.page_bytes(0).end());
+  Bytes second = first;
+  first[5] ^= 0x01;
+  second[9] ^= 0x01;
+  CheckpointFile f = CheckpointFile::parse(records.back());
+  f.payload = pa.compress({{0, first}, {0, second}}, prev).payload;
+  records.back() = f.serialize();
+
+  const Report report = verify_never_throws(records);
+  EXPECT_FALSE(report.ok());
+  EXPECT_TRUE(has_code(report, CheckCode::kDeltaUndecodable))
+      << report.summary();
+  bool named = false;
+  for (const Diagnostic& d : report.diagnostics)
+    named = named || d.message.find("page 0 appears twice") != std::string::npos;
+  EXPECT_TRUE(named) << report.summary();
+}
+
 TEST(ChainVerifier, GarbageFullPayloadIsCaught) {
   auto records = build_chain(3, 11);
   CheckpointFile f = CheckpointFile::parse(records[0]);

@@ -10,6 +10,8 @@
 #   wrap-small  COPY off = 2^64-1, len = 2: off + len wraps to 1
 #   wrap-large  COPY off = 2^64-2^40, len = 2^40+1: off + len wraps to 1
 #   huge-target header target_size = 2^62 ahead of a 3-byte ADD
+#   dup-page    two well-formed delta records for page 0 in one payload,
+#               which restore rejects whichever record would win
 #
 # A control case with a well-formed delta must come out clean (exit 0),
 # which shows the records below are built the way the reader expects.
@@ -31,7 +33,8 @@ fail() {
 }
 
 # write_chain <dir> <case>: ckpt-0 is a one-page full record, ckpt-1 an
-# incremental delta record whose page carries the case's XDelta3 stream.
+# incremental delta record whose page carries the case's XDelta3 stream
+# (dup-page: two records, each with the control stream).
 write_chain() {
   python3 - "$1" "$2" <<'EOF'
 import struct
@@ -74,9 +77,12 @@ streams = {
                   varint(2**40 + 1),
     "huge-target": header(2**62) + b"\x00" + varint(3) + b"abc",
 }
+streams["dup-page"] = streams["control"]
 delta = streams[case]
+copies = 2 if case == "dup-page" else 1
 full = varint(1) + varint(0) + bytes([7]) * PAGE  # page 0, raw
-page_delta = varint(1) + varint(0) + b"\x01" + varint(len(delta)) + delta
+page_delta = varint(copies) + (
+    varint(0) + b"\x01" + varint(len(delta)) + delta) * copies
 with open(f"{out_dir}/ckpt-0", "wb") as f:
     f.write(record(0, 0, full))  # kFull
 with open(f"{out_dir}/ckpt-1", "wb") as f:
@@ -91,7 +97,7 @@ rc=$?
 echo "$out"
 [[ $rc -eq 0 ]] || fail "well-formed control chain must exit 0, got $rc"
 
-for case in wrap-small wrap-large huge-target; do
+for case in wrap-small wrap-large huge-target dup-page; do
   mkdir "$dir/$case"
   write_chain "$dir/$case" "$case" || fail "could not write chain $case"
   out="$("$fsck" "$dir/$case" 2>&1)"
