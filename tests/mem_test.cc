@@ -2,6 +2,7 @@
 // tracking, the BLCR/mprotect stand-in) and snapshots.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
@@ -32,6 +33,20 @@ TEST(AddressSpace, DoubleAllocateThrows) {
   AddressSpace s;
   s.allocate(1);
   EXPECT_THROW(s.allocate(1), CheckError);
+  EXPECT_THROW(s.allocate(1, make_bytes(kPageSize, 9)), CheckError);
+}
+
+TEST(AddressSpace, AllocateWithBytesHoldsThemAndStartsDirty) {
+  AddressSpace s;
+  s.protect_all();
+  const Bytes image = make_bytes(kPageSize, 3);
+  s.allocate(5, image);
+  EXPECT_TRUE(std::equal(image.begin(), image.end(),
+                         s.page_bytes(5).begin()));
+  EXPECT_TRUE(s.is_dirty(5));
+  EXPECT_EQ(s.fault_count(), 0u);
+  EXPECT_THROW(s.allocate(6, make_bytes(kPageSize - 1, 3)), CheckError);
+  EXPECT_FALSE(s.contains(6));
 }
 
 TEST(AddressSpace, FreeRemovesPage) {
@@ -170,6 +185,10 @@ TEST(Snapshot, MaterializeRoundTrip) {
   AddressSpace rebuilt = snap.materialize();
   EXPECT_TRUE(snap.equals_space(rebuilt));
   EXPECT_EQ(rebuilt.live_pages(), s.live_pages());
+  // Every restored page is new to the space, so each enters the next
+  // checkpoint, and none of them faulted on the way in.
+  EXPECT_EQ(rebuilt.dirty_pages(), s.live_pages());
+  EXPECT_EQ(rebuilt.fault_count(), 0u);
 }
 
 TEST(Snapshot, EqualsSpaceDetectsPageCountMismatch) {
