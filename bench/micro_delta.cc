@@ -539,11 +539,11 @@ std::unique_ptr<ckpt::CheckpointChain> greedy_chain(std::size_t pages) {
   return chain;
 }
 
-void restore_bench(benchmark::State& state, ckpt::RestartEngine::Mode mode,
-                   bool greedy = false) {
+void restore_bench(benchmark::State& state,
+                   const ckpt::CheckpointChain& chain,
+                   ckpt::RestartEngine::Mode mode) {
   const std::size_t pages = std::size_t(state.range(0));
-  const auto chain = greedy ? greedy_chain(pages) : restore_chain(pages);
-  const std::vector<ckpt::CheckpointFile>& files = chain->files();
+  const std::vector<ckpt::CheckpointFile>& files = chain.files();
   const delta::PageAlignedCompressor pa({}, /*correcting=*/true);
   std::uint64_t peak = 0;
   for (auto _ : state) {
@@ -558,17 +558,20 @@ void restore_bench(benchmark::State& state, ckpt::RestartEngine::Mode mode,
 }
 
 void BM_RestoreInPlace(benchmark::State& state) {
-  restore_bench(state, ckpt::RestartEngine::Mode::kInPlace);
+  restore_bench(state, *restore_chain(std::size_t(state.range(0))),
+                ckpt::RestartEngine::Mode::kInPlace);
 }
 BENCHMARK(BM_RestoreInPlace)->Arg(64)->Arg(512);
 
 void BM_RestoreOutOfPlace(benchmark::State& state) {
-  restore_bench(state, ckpt::RestartEngine::Mode::kOutOfPlace);
+  restore_bench(state, *restore_chain(std::size_t(state.range(0))),
+                ckpt::RestartEngine::Mode::kOutOfPlace);
 }
 BENCHMARK(BM_RestoreOutOfPlace)->Arg(64)->Arg(512);
 
 void BM_RestoreGreedy(benchmark::State& state) {
-  restore_bench(state, ckpt::RestartEngine::Mode::kInPlace, /*greedy=*/true);
+  restore_bench(state, *greedy_chain(std::size_t(state.range(0))),
+                ckpt::RestartEngine::Mode::kInPlace);
 }
 BENCHMARK(BM_RestoreGreedy)->Arg(64)->Arg(512);
 
