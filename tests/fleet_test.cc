@@ -5,6 +5,7 @@
 // export.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -237,6 +238,7 @@ struct RunSummary {
   std::uint64_t digest = 0;
   FleetReport report;
   std::map<std::uint64_t, JobStats> per_job;
+  double admitted_demand_bps = 0.0;
 };
 
 RunSummary run_fleet(int shards, std::uint64_t seed) {
@@ -247,6 +249,7 @@ RunSummary run_fleet(int shards, std::uint64_t seed) {
   s.digest = fleet.digest();
   s.report = fleet.report();
   for (const auto& j : jobs) s.per_job[j.job_id] = fleet.job_stats(j.job_id);
+  s.admitted_demand_bps = fleet.admission().admitted_demand_bps();
   return s;
 }
 
@@ -285,6 +288,22 @@ TEST(FleetDeterminism, ShardCountDoesNotChangeTheTimeline) {
       EXPECT_EQ(ts.tts_p99_s, o.tts_p99_s);
     }
   }
+}
+
+TEST(FleetDeterminism, TimelineIsPinned) {
+  // The shard-count test compares shard counts with each other; this pins
+  // the timeline itself, so a change that moved it the same way at every
+  // shard count still fails.
+  const RunSummary s = run_fleet(1, 42);
+  ASSERT_TRUE(s.report.complete);
+  EXPECT_EQ(s.report.commits, 630u);
+  EXPECT_EQ(s.digest, 0x2da5e15cfe1182b1ull) << std::hex << s.digest;
+  // Every job has been released, and what is left of the admission
+  // controller's demand sum is rounding, which depends on the order the
+  // releases arrived in.
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(s.admitted_demand_bps),
+            0x3e06800000000000ull)
+      << s.admitted_demand_bps;
 }
 
 TEST(FleetDeterminism, SeedChangesTheTimeline) {
@@ -494,9 +513,11 @@ std::vector<workload::FleetJobSpec> elastic_mix(std::uint64_t seed) {
 }
 
 RunSummary run_elastic(int shards, std::size_t rewind_budget,
-                       obs::Hub* hub = nullptr) {
+                       obs::Hub* hub = nullptr, std::uint64_t seed = 42,
+                       double lambda_total = 2.0e-3) {
   auto jobs = elastic_mix(7);
-  FleetConfig cfg = small_fleet_config(shards, 42);
+  FleetConfig cfg = small_fleet_config(shards, seed);
+  cfg.lambda_total = lambda_total;
   cfg.rewind_budget = rewind_budget;
   cfg.obs = hub;
   FleetScheduler fleet(cfg, jobs, QosPolicy{});
@@ -538,6 +559,71 @@ TEST(FleetElastic, ShardCountDoesNotChangeTheElasticTimeline) {
       EXPECT_EQ(stats.commits, o.commits) << "job " << id;
       EXPECT_EQ(stats.finish_time, o.finish_time) << "job " << id;
     }
+  }
+}
+
+struct ElasticPin {
+  std::uint64_t commits = 0;
+  std::uint64_t failures = 0;
+  std::uint64_t interrupts = 0;
+  std::uint64_t resumes = 0;
+  std::uint64_t resizes = 0;
+  std::uint64_t resize_actions = 0;  // forward resizes plus reverts
+  std::uint64_t rewind_discards = 0;
+  std::uint64_t digest = 0;
+};
+
+ElasticPin elastic_pin(int shards, std::uint64_t seed, double lambda_total) {
+  obs::Hub hub;
+  const RunSummary s = run_elastic(shards, 4, &hub, seed, lambda_total);
+  EXPECT_TRUE(s.report.complete);
+  ElasticPin p;
+  p.commits = s.report.commits;
+  p.failures = s.report.failures;
+  for (const auto& [id, stats] : s.per_job) {
+    p.interrupts += stats.interrupts;
+    p.resumes += stats.resumes;
+  }
+  p.resizes = s.report.resizes;
+  p.resize_actions = hub.metrics.snapshot().counter_or_zero(on::kFleetResizes);
+  p.rewind_discards = s.report.rewind_discards;
+  p.digest = s.digest;
+  return p;
+}
+
+TEST(FleetElastic, ElasticTimelineIsPinned) {
+  // The shard-count test compares shard counts with each other; this pins
+  // the one-shard elastic timeline with rewind retention on. Unlike the
+  // 1000-job pin, it reaches resizes and rewind evictions.
+  const ElasticPin p = elastic_pin(1, 42, 2.0e-3);
+  EXPECT_EQ(p.commits, 616u);
+  EXPECT_EQ(p.failures, 3u);
+  EXPECT_EQ(p.interrupts, 0u);
+  EXPECT_EQ(p.resizes, 21u);
+  EXPECT_EQ(p.resize_actions, 21u);
+  EXPECT_EQ(p.rewind_discards, 456u);
+  EXPECT_EQ(p.digest, 0xb815ee2e09a386f4ull) << std::hex << p.digest;
+}
+
+TEST(FleetElastic, RewoundResizeTimelineIsPinned) {
+  // Seed 12 at 1.5x the failure rate: failures rewind jobs below a resize
+  // boundary, so the width reverts and the resize re-fires when progress
+  // crosses it again, and a level-2 strike interrupts and resumes a drain.
+  // Pinned at one shard and held at two and four.
+  const ElasticPin p = elastic_pin(1, 12, 3.0e-3);
+  EXPECT_EQ(p.commits, 663u);
+  EXPECT_EQ(p.failures, 14u);
+  EXPECT_EQ(p.interrupts, 1u);
+  EXPECT_EQ(p.resumes, 1u);
+  EXPECT_EQ(p.resizes, 23u);
+  EXPECT_EQ(p.resize_actions, 25u) << "two reverts";
+  EXPECT_EQ(p.rewind_discards, 503u);
+  EXPECT_EQ(p.digest, 0xd9b99763bbdac1b1ull) << std::hex << p.digest;
+  for (const int shards : {2, 4}) {
+    const ElasticPin o = elastic_pin(shards, 12, 3.0e-3);
+    EXPECT_EQ(o.digest, p.digest) << shards << " shards";
+    EXPECT_EQ(o.resize_actions, p.resize_actions) << shards << " shards";
+    EXPECT_EQ(o.interrupts, p.interrupts) << shards << " shards";
   }
 }
 

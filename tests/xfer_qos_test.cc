@@ -188,6 +188,44 @@ TEST(XferQos, FullChannelReservationStarvesBestEffort) {
   EXPECT_EQ(*h.target.get("b"), b);
 }
 
+TEST(XferQos, QosChangeRepricesTheNextChunkOfALiveTenant) {
+  TransferScheduler::Config cfg;
+  cfg.chunk_bytes = 100;
+  Harness h(cfg, {1000.0, 0.0});
+  // Two staggered streams of tenant 1, so its lane never closes: a stream
+  // ending always finds the other one on the wire.
+  const Bytes a = pattern_bytes(1000, 41);
+  const Bytes b = pattern_bytes(1000, 42);
+  const TransferId ia = h.sched.submit(3, "a", a, 1);
+  h.sched.run_until(0.05);  // a alone at 1000 bps: its first chunk ends 0.1
+  const TransferId ib = h.sched.submit(3, "b", b, 1);
+  // From here on each chunk is priced at 500 bps (0.2 s): a's second chunk
+  // runs 0.1-0.3, b's first two 0.05-0.25 and 0.25-0.45.
+  h.sched.run_until(0.27);
+  EXPECT_EQ(h.sched.record(ia).acked_bytes, 100u);
+  EXPECT_EQ(h.sched.record(ib).acked_bytes, 100u);
+
+  // The tenant's new reservation binds from its next chunk start on; the
+  // chunks already on the wire keep their price. 250 bps over two streams
+  // is 125 bps each, so a chunk takes 0.8 s.
+  h.sched.set_tenant_qos(3, 1, TenantQos{1.0, 250.0});
+  h.sched.run_until(1.0);
+  EXPECT_EQ(h.sched.record(ia).acked_bytes, 200u)
+      << "a's chunk started at 0.3 must run until 1.1";
+  EXPECT_EQ(h.sched.record(ib).acked_bytes, 200u)
+      << "b's chunk started at 0.45 must run until 1.25";
+
+  h.sched.run_until_idle();
+  const TransferRecord& ra = h.sched.record(ia);
+  const TransferRecord& rb = h.sched.record(ib);
+  ASSERT_EQ(ra.state, TransferState::kCommitted);
+  ASSERT_EQ(rb.state, TransferState::kCommitted);
+  EXPECT_NEAR(ra.commit_time, 0.3 + 8 * 0.8, 1e-9);
+  EXPECT_NEAR(rb.commit_time, 0.45 + 8 * 0.8, 1e-9);
+  EXPECT_EQ(*h.target.get("a"), a);
+  EXPECT_EQ(*h.target.get("b"), b);
+}
+
 TEST(XferQos, PerTransferInterruptAndResume) {
   TransferScheduler::Config cfg;
   cfg.chunk_bytes = 100;
