@@ -32,7 +32,8 @@
 // the active tenants of each level that starts attempts at that instant.
 // Pending and in-flight transfers sit in one ordered event set keyed by
 // (next event time, id); each level counts its in-flight attempts per
-// tenant; a per-level key set rejects duplicate live keys.
+// tenant; a per-level key set rejects duplicate live keys. A discard keeps
+// its entry and key-set nodes for later submits to reuse.
 #pragma once
 
 #include <cstdint>
@@ -158,17 +159,24 @@ class TransferScheduler {
   Stats stats() const;
 
  private:
-  /// In-flight attempts of one tenant on one level, and their per-stream
-  /// rate as priced for the current start batch.
+  /// In-flight attempts of one tenant on one level, their per-stream rate
+  /// as priced for the current start batch, and the tenant's QoS, copied
+  /// when the lane opens (and refreshed by set_tenant_qos while it is open)
+  /// so pricing reads no table.
   struct Lane {
     std::size_t streams = 0;
     double priced_bps = 0.0;
+    TenantQos qos;
   };
   struct Level {
     std::unique_ptr<Channel> channel;
     ChunkSink* sink = nullptr;
     /// Per-tenant QoS; absent tenants price as {1.0, 0.0}.
     std::map<std::uint64_t, TenantQos> qos;
+    TenantQos qos_of(std::uint64_t tenant) const {
+      const auto it = qos.find(tenant);
+      return it == qos.end() ? TenantQos{} : it->second;
+    }
     /// Tenants with attempts on the wire (a lane is erased at zero), in
     /// ascending tenant order — the order pricing sums them in.
     std::map<std::uint64_t, Lane> lanes;
@@ -267,6 +275,12 @@ class TransferScheduler {
   TransferId next_id_ = 1;
   std::map<int, Level> levels_;
   std::map<TransferId, Entry> entries_;
+  /// Entry and key-set nodes of discarded transfers, reused by later
+  /// submits, so a steady stream of drains allocates neither. A list, not
+  /// one spare: the fleet discards a round's landed drains in one sweep
+  /// and submits the next round's captures in another.
+  std::vector<std::map<TransferId, Entry>::node_type> spare_entries_;
+  std::vector<std::unordered_set<std::string>::node_type> spare_keys_;
   EventSet events_;
   /// Scratch list of entries to act on in id order: one instant's due
   /// transfers (collect_due) or one level's runnable ones (interrupt_level).

@@ -7,14 +7,17 @@
 // resumed drain lands byte-identical.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <map>
 #include <string>
 #include <vector>
 
 #include "ckpt/checkpointer.h"
 #include "common/rng.h"
 #include "fnv1a.h"
+#include "heap_guard.h"
 #include "mem/snapshot.h"
 #include "obs/trace.h"
 #include "storage/async_checkpointer.h"
@@ -315,6 +318,69 @@ TEST(XferScheduler, DuplicateLiveKeyIsRejected) {
   EXPECT_NO_THROW(h.sched.submit_sized(3, "sized", 10));
   EXPECT_EQ(h.sched.runnable_count(), 2u)
       << "a rejected submit must leave nothing queued";
+
+  // A discard leaves its key node for a later submit to reuse; a reused
+  // node goes through the same duplicate check.
+  h.sched.discard(h.sched.submit_sized(3, "spare", 10));
+  EXPECT_THROW(h.sched.submit_sized(3, "sized", 10), CheckError);
+  EXPECT_THROW(h.sched.submit(3, "obj", pattern_bytes(10, 7)), CheckError);
+  EXPECT_NO_THROW(h.sched.submit_sized(3, "spare", 10));
+  EXPECT_EQ(h.sched.runnable_count(), 3u);
+}
+
+/// Tracks staged sizes in a map: one node per live object, like the
+/// fleet's counting sink.
+class SizeSink final : public ChunkSink {
+ public:
+  void stage(const std::string& key, std::uint64_t offset, ByteSpan chunk,
+             std::uint64_t /*total_bytes*/) override {
+    auto& staged = staged_[key];
+    staged = std::max(staged, offset + chunk.size());
+  }
+  std::uint64_t staged_bytes(const std::string& key) const override {
+    const auto it = staged_.find(key);
+    return it == staged_.end() ? 0 : it->second;
+  }
+  void commit(const std::string& key) override { staged_.erase(key); }
+  void discard(const std::string& key) override { staged_.erase(key); }
+
+ private:
+  std::map<std::string, std::uint64_t> staged_;
+};
+
+TEST(XferScheduler, SteadySizedDrainCycleReusesItsNodes) {
+  SizeSink sink;
+  TransferScheduler sched;
+  sched.add_level(3, {1.0e9, 0.0}, &sink);
+  // A fleet round in miniature: submit a batch of checkpoints, drain them,
+  // then discard them all once they have committed.
+  constexpr std::size_t kBatch = 4;
+  auto round = [&sched](std::uint64_t r) {
+    std::vector<TransferId> ids;
+    ids.reserve(kBatch);
+    for (std::size_t j = 0; j < kBatch; ++j) {
+      ids.push_back(sched.submit_sized(
+          3, "j" + std::to_string(j) + "/c" + std::to_string(r % 10),
+          3 * 64 * 1024));
+    }
+    sched.run_until_idle();
+    for (const TransferId id : ids) {
+      EXPECT_EQ(sched.record(id).state, TransferState::kCommitted);
+      sched.discard(id);
+    }
+  };
+  round(0);  // warm-up: the lane, the staging scratch and the spare lists
+  round(1);
+  // The heap counters are process-wide, so the work stays on this thread.
+  constexpr std::uint64_t kRounds = 8;
+  const testing::HeapStats before = testing::heap_stats();
+  for (std::uint64_t r = 2; r < 2 + kRounds; ++r) round(r);
+  const std::uint64_t allocations =
+      testing::heap_stats().allocations - before.allocations;
+  // Per transfer: the event-set node and the sink's own node. The entry
+  // and key nodes come back from the discards of the round before.
+  EXPECT_LE(allocations, kRounds * (1 + 2 * kBatch))
+      << "one more per round for the id list";
 }
 
 // ---- the pinned timeline ----
