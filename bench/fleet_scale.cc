@@ -34,10 +34,12 @@ constexpr double kPerJobBps = 2.0e7;
 
 // Wall time is a tracked metric at the 10k-job point: it repeats kWallReps
 // times so aic_benchdiff's bootstrap gates a distribution, not one sample.
-// Smaller points finish in milliseconds, too short to gate, and the 100k
-// point only runs in the full sweep.
+// Smaller points finish in milliseconds, too short to gate. The 100k point
+// only runs in the full sweep, once: its wall over the 10k median is the
+// control plane's scaling ratio (linear scaling reads 10x).
 constexpr std::size_t kWallSampledJobs = 10000;
 constexpr int kWallReps = 5;
+constexpr std::size_t kScaleRatioJobs = 100000;
 
 fleet::FleetConfig fleet_config(int shards, std::size_t jobs) {
   fleet::FleetConfig cfg;
@@ -180,6 +182,8 @@ int main() {
       for (const double w : walls) session.sample(tag + ".wall_s", "s", w);
       std::sort(walls.begin(), walls.end());
       r.wall_s = walls[walls.size() / 2];  // the table shows the median
+    } else if (jobs == kScaleRatioJobs) {
+      session.sample(tag + ".wall_s", "s", r.wall_s);
     }
     results.push_back(r);
     const auto& rep = r.report;
@@ -210,6 +214,15 @@ int main() {
   }
   table.print(std::cout);
   table.print_csv(std::cout);
+  double base_wall = 0.0;
+  for (const ScaleResult& r : results) {
+    if (r.jobs == kWallSampledJobs) base_wall = r.wall_s;
+    if (r.jobs == kScaleRatioJobs && base_wall > 0.0) {
+      std::cout << "wall ratio " << kScaleRatioJobs << "/" << kWallSampledJobs
+                << " jobs: " << TextTable::num(r.wall_s / base_wall, 1)
+                << "x\n";
+    }
+  }
 
   for (std::size_t i = 1; i < results.size(); ++i) {
     const auto& prev = results[i - 1].report;
