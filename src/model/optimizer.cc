@@ -97,11 +97,6 @@ double newton_raphson_stationary(const ScalarFn& f, double x0, double lo,
 }
 
 OptResult extreme_value_minimum(const ScalarFn& f, double lo, double hi,
-                                double x0) {
-  return extreme_value_minimum(f, lo, hi, x0, nullptr);
-}
-
-OptResult extreme_value_minimum(const ScalarFn& f, double lo, double hi,
                                 double x0, EvtDiag* diag) {
   // Boundaries first (the Extreme Value Theorem's frame).
   OptResult best{lo, f(lo)};

@@ -45,11 +45,9 @@ struct EvtDiag {
 /// interior stationary point; compare f at lo, hi, a coarse seed grid, and
 /// the NR point, then polish the winner with a bounded golden-section
 /// pass (finite-difference NR stalls on derivative noise near flat
-/// minima). Total cost stays O(1) chain solves per decision.
+/// minima). Total cost stays O(1) chain solves per decision. `diag`, when
+/// non-null, receives the search's diagnostics.
 OptResult extreme_value_minimum(const ScalarFn& f, double lo, double hi,
-                                double x0);
-/// Same search, also reporting per-search diagnostics into *diag.
-OptResult extreme_value_minimum(const ScalarFn& f, double lo, double hi,
-                                double x0, EvtDiag* diag);
+                                double x0, EvtDiag* diag = nullptr);
 
 }  // namespace aic::model
