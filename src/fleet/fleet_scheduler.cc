@@ -247,16 +247,19 @@ void FleetScheduler::sync_width(JobState& j, double at,
       // re-treading the boundary re-fires the resize.
       --j.resizes_applied;
     }
+    ++j.width_epoch;
     Action a = next_action(j, at, ActionKind::kResize);
     a.factor = size_factor(j);
     out.push_back(a);
   }
-  // The stream of strikes is a pure function of (seed, job, width epoch):
-  // identical re-treads see identical failures regardless of sharding.
+  // The stream of strikes is a pure function of (seed, job, width epoch),
+  // so it does not depend on sharding. The epoch counts reverts too: a
+  // stream keyed by the width alone would replay the same first strike
+  // after every re-crossing of a boundary, and a job whose strike falls
+  // before its next commit would never get past it.
   j.failures = sim::JobFailureProcess(
       failure::FailureSpec::from_total(config_.lambda_total * size_factor(j)),
-      config_.seed ^ (0x9E3779B97F4A7C15ULL * std::uint64_t(j.resizes_applied)),
-      j.spec.job_id);
+      config_.seed ^ (0x9E3779B97F4A7C15ULL * j.width_epoch), j.spec.job_id);
   j.next_failure = j.failures.next_after(at);
   // Re-plan the work span at the new width immediately — the post-resize
   // exposure and delta size make the previous schedule stale.

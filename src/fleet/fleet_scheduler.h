@@ -230,6 +230,9 @@ class FleetScheduler {
     /// a failure rewind below a boundary reverts the width and
     /// re-treading re-fires it deterministically.
     std::size_t resizes_applied = 0;
+    /// Width transitions so far, forward and revert alike: seeds the
+    /// failure stream of each new width epoch.
+    std::uint64_t width_epoch = 0;
     /// Bounded-regret retention over this job's committed checkpoints.
     ckpt::RewindWindow rewind;
     /// Arrival -> activation wait, charged to the admission-queue segment
