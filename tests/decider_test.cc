@@ -13,11 +13,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <initializer_list>
 
 #include "common/rng.h"
+#include "control/experiment.h"
 #include "model/interval_models.h"
 #include "model/optimizer.h"
 #include "model/system_profile.h"
+#include "obs/names.h"
+#include "obs/trace.h"
 
 namespace aic::model {
 namespace {
@@ -194,3 +199,148 @@ TEST(DeciderTest, DiagReportsBoundaryWhenStationaryLoses) {
 
 }  // namespace
 }  // namespace aic::model
+
+// Gating tests for control::AicDecider on synthetic c3 series, one per
+// branch of the cheap-moment rule: the trailing window's dip, a cost
+// clearly below the window's mean, the upturn after a sustained decline,
+// the starvation override, the busy checkpointing core, and the window's
+// 40-decision memory.
+namespace aic::control {
+namespace {
+
+using model::IntervalParams;
+
+/// A checkpoint costing `c3` (c1 and c2 fixed, r_k = c_k).
+IntervalParams cost(double c3) { return {1.0, 2.0, c3, 1.0, 2.0, c3}; }
+
+model::SystemProfile testbed_system() {
+  model::SystemProfile sys = model::SystemProfile::coastal();
+  const auto split = model::split_rate(1e-3);
+  sys.lambda = {split[0], split[1], split[2]};
+  return sys;
+}
+
+/// Past w_L* and short of 3x w_L* (checked on every decision): the span
+/// condition holds and starvation does not.
+constexpr double kReached = 100.0;
+
+/// One decision on a checkpoint costing `c3`, against a previous
+/// checkpoint of c3 = 50.
+DecisionTrace step(AicDecider& decider, double c3, double elapsed = kReached,
+                   bool core_free = true) {
+  const DecisionTrace d =
+      decider.decide(0.0, elapsed, cost(c3), cost(50.0), core_free);
+  EXPECT_LT(d.w_star, kReached);
+  EXPECT_GT(3.0 * d.w_star, kReached);
+  return d;
+}
+
+/// Feeds a series with the span reached; returns the last decision.
+DecisionTrace feed(AicDecider& decider, std::initializer_list<double> c3s) {
+  DecisionTrace d;
+  for (double c3 : c3s) d = step(decider, c3);
+  return d;
+}
+
+TEST(AicDecider, FiresBackAtTheWindowDip) {
+  AicDecider decider(testbed_system(), nullptr);
+  const DecisionTrace high = feed(decider, {100, 60, 100, 105});
+  EXPECT_TRUE(high.span_reached);
+  EXPECT_FALSE(high.at_dip);
+  EXPECT_FALSE(high.take);
+  // 62 is within 10% of the window's 60, but above 0.7x its mean (85.4)
+  // and after one decline only.
+  const DecisionTrace dip = step(decider, 62);
+  EXPECT_TRUE(dip.at_dip);
+  EXPECT_TRUE(dip.take);
+}
+
+TEST(AicDecider, FiresClearlyBelowTheWindowMean) {
+  // 30 is 3x the window's minimum (10) but below 0.7x its mean (85.5);
+  // 70 is above 0.7x the mean (88.2).
+  for (const double c3 : {30.0, 70.0}) {
+    AicDecider decider(testbed_system(), nullptr);
+    feed(decider, {100, 10, 100, 100, 100, 100, 100, 100, 100, 100});
+    const DecisionTrace d = step(decider, c3);
+    EXPECT_EQ(d.at_dip, c3 == 30.0) << c3;
+    EXPECT_EQ(d.take, c3 == 30.0) << c3;
+  }
+}
+
+TEST(AicDecider, FiresOnTheUpturnAfterThreeDeclines) {
+  // 175 is far above the window's minimum (100) and 0.7x its mean; only
+  // the turn back up after a valley makes it a cheap moment.
+  AicDecider three(testbed_system(), nullptr);
+  EXPECT_FALSE(feed(three, {100, 200, 190, 180, 170}).at_dip);
+  const DecisionTrace upturn = step(three, 175);
+  EXPECT_TRUE(upturn.at_dip);
+  EXPECT_TRUE(upturn.take);
+
+  // Two declines are not a valley.
+  AicDecider two(testbed_system(), nullptr);
+  const DecisionTrace early = feed(two, {100, 200, 190, 180, 185});
+  EXPECT_FALSE(early.at_dip);
+  EXPECT_FALSE(early.take);
+}
+
+TEST(AicDecider, StarvationFiresPastThreeTimesTheSpan) {
+  AicDecider decider(testbed_system(), nullptr);
+  const DecisionTrace waiting = feed(decider, {10, 100, 100});
+  EXPECT_FALSE(waiting.at_dip);
+  EXPECT_FALSE(waiting.starved);
+  EXPECT_FALSE(waiting.take);
+
+  const DecisionTrace short_span =
+      decider.decide(0.0, 0.5 * waiting.w_star, cost(10), cost(50), true);
+  EXPECT_TRUE(short_span.at_dip);
+  EXPECT_FALSE(short_span.span_reached) << "a dip before w_L* waits";
+  EXPECT_FALSE(short_span.take);
+
+  const DecisionTrace starved =
+      decider.decide(0.0, 4.0 * waiting.w_star, cost(100), cost(50), true);
+  EXPECT_FALSE(starved.at_dip);
+  EXPECT_TRUE(starved.starved);
+  EXPECT_TRUE(starved.take);
+}
+
+TEST(AicDecider, BusyCoreDefersTheTake) {
+  for (const bool core_free : {false, true}) {
+    AicDecider decider(testbed_system(), nullptr);
+    feed(decider, {100, 60, 100});
+    const DecisionTrace d = step(decider, 60, kReached, core_free);
+    EXPECT_TRUE(d.span_reached);
+    EXPECT_TRUE(d.at_dip);
+    EXPECT_EQ(d.core_free, core_free);
+    EXPECT_EQ(d.take, core_free);
+  }
+}
+
+TEST(AicDecider, DipLeavesTheWindowAfterFortyDecisions) {
+  AicDecider decider(testbed_system(), nullptr);
+  step(decider, 10);
+  // Decisions 2 to 40 still see the 10 in the window: 100 is no dip.
+  for (int i = 2; i <= 40; ++i) {
+    EXPECT_FALSE(step(decider, 100).at_dip) << "decision " << i;
+  }
+  // Decision 41 pushes it out: the window holds only 100s.
+  const DecisionTrace d = step(decider, 100);
+  EXPECT_TRUE(d.at_dip);
+  EXPECT_TRUE(d.take);
+}
+
+TEST(AicDecider, ReportsEveryDecisionToTheHub) {
+  obs::Hub hub;
+  AicDecider decider(testbed_system(), &hub);
+  int takes = 0;
+  for (const double c3 : {100.0, 60.0, 100.0, 105.0, 62.0}) {
+    takes += step(decider, c3).take;
+  }
+  const obs::MetricsSnapshot snap = hub.metrics.snapshot();
+  EXPECT_EQ(snap.counter_or_zero(obs::names::kDeciderEvaluations), 5u);
+  EXPECT_EQ(snap.counter_or_zero(obs::names::kDeciderTakes),
+            std::uint64_t(takes));
+  EXPECT_EQ(hub.trace.size(), 5u) << "one decision instant each";
+}
+
+}  // namespace
+}  // namespace aic::control
