@@ -21,8 +21,8 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -65,8 +65,9 @@ struct JobRecord {
   double submit_time = 0.0;
   double dispatch_time = 0.0;
   double end_time = 0.0;
-  /// processes per node actually placed: node -> process count.
-  std::map<int, int> placement;
+  /// Processes actually placed, as (node, process count) pairs in
+  /// ascending node order; every count is at least 1.
+  std::vector<std::pair<int, int>> placement;
 
   int process_count() const;
   double runtime() const { return end_time - dispatch_time; }
@@ -84,7 +85,9 @@ struct TraceConfig {
 };
 
 /// Synthesizes a job log for a system: arrivals, FIFO dispatch respecting
-/// core capacity under the chosen policy, and completion.
+/// core capacity under the chosen policy, and completion. Each job starts
+/// at the first instant, at or after its submit and its predecessor's
+/// start, at which its processes fit; the log is ordered by dispatch time.
 std::vector<JobRecord> generate_log(const SystemConfig& system,
                                     const TraceConfig& config);
 
@@ -98,7 +101,8 @@ struct CandidateStats {
 
 /// A job is a candidate iff, over its entire execution, every node hosting
 /// one of its processes always retains at least one idle core (counting
-/// all concurrently running jobs).
+/// all concurrently running jobs). Execution spans [dispatch, end): a job
+/// that starts on a node the instant another ends there never overlaps it.
 CandidateStats analyze_candidates(const std::vector<JobRecord>& log,
                                   const SystemConfig& system);
 
