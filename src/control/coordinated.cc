@@ -154,7 +154,10 @@ CoordinatedResult run_coordinated(Scheme scheme,
       take = elapsed >= w_static && core_free;
     } else {
       const IntervalParams cur = job_estimate(ranks, base.costs);
-      take = decider.decide(now, elapsed, cur, prev, core_free).take;
+      const DecisionTrace d =
+          decider.decide(now, elapsed, cur, prev, core_free);
+      if (base.decision_hook) base.decision_hook(d);
+      take = d.take;
     }
 
     if (take && !finished()) {

@@ -114,7 +114,8 @@ struct ExperimentConfig {
   unsigned compress_workers = 0;
   /// Workload scale factor (footprint & page rates).
   double workload_scale = 1.0;
-  /// Optional per-decision diagnostics callback (AIC runs only).
+  /// Optional per-decision diagnostics callback, called on every AIC
+  /// decision of run_aic and run_coordinated (never by SIC or Moody).
   std::function<void(const DecisionTrace&)> decision_hook;
   /// Optional observability hub: interval spans, decider metrics and
   /// decision instants, predictor residuals, plus everything the

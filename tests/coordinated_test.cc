@@ -124,6 +124,30 @@ TEST(Coordinated, HubSeesEveryRankAndTheDecider) {
   EXPECT_GT(snap.counter_or_zero(obs::names::kDeciderEvaluations), 0u);
 }
 
+TEST(Coordinated, DecisionHookSeesEveryAicDecision) {
+  auto cfg = make_config(2, 0.0);
+  obs::Hub hub;
+  cfg.base.obs = &hub;
+  cfg.base.compress_workers = 1;
+  std::uint64_t calls = 0;
+  std::uint64_t takes = 0;
+  cfg.base.decision_hook = [&](const DecisionTrace& d) {
+    ++calls;
+    takes += d.take ? 1 : 0;
+  };
+  const auto res =
+      run_coordinated(Scheme::kAic, workload::SpecBenchmark::kMilc, cfg);
+  EXPECT_EQ(res.net2, 1.0809348466105875) << "the hook only reads";
+  const obs::MetricsSnapshot snap = hub.metrics.snapshot();
+  EXPECT_GT(calls, 0u);
+  EXPECT_EQ(calls, snap.counter_or_zero(obs::names::kDeciderEvaluations));
+  EXPECT_EQ(takes, snap.counter_or_zero(obs::names::kDeciderTakes));
+
+  calls = 0;
+  (void)run_coordinated(Scheme::kSic, workload::SpecBenchmark::kMilc, cfg);
+  EXPECT_EQ(calls, 0u) << "SIC makes no AIC decisions";
+}
+
 TEST(Coordinated, MoreProcessesRaiseJobNet2) {
   // Job-level failure rate scales with N: more ranks, worse NET^2.
   const auto res2 = run_coordinated(
