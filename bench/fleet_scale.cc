@@ -34,6 +34,7 @@ constexpr double kPerJobBps = 2.0e7;
 
 // Wall time is a tracked metric at the 10k-job point: it repeats kWallReps
 // times so aic_benchdiff's bootstrap gates a distribution, not one sample.
+// The wall of building that point's job mix is tracked there too.
 // Smaller points finish in milliseconds, too short to gate. The 100k point
 // only runs in the full sweep, once: its wall over the 10k median is the
 // control plane's scaling ratio (linear scaling reads 10x).
@@ -60,7 +61,13 @@ fleet::FleetConfig fleet_config(int shards, std::size_t jobs) {
   return cfg;
 }
 
-std::vector<workload::FleetJobSpec> fleet_mix(std::size_t jobs) {
+/// One scale's job mix, built once and shared by every run at that scale.
+struct Mix {
+  std::vector<workload::FleetJobSpec> jobs;
+  double build_s = 0.0;  // wall time of lanl_fleet_jobs
+};
+
+Mix fleet_mix(std::size_t jobs) {
   workload::FleetMixConfig mix;
   mix.jobs = jobs;
   mix.tenants = 8;
@@ -69,7 +76,10 @@ std::vector<workload::FleetJobSpec> fleet_mix(std::size_t jobs) {
   mix.min_work_s = bench::smoke_pick(60.0, 30.0);
   mix.max_work_s = bench::smoke_pick(600.0, 90.0);
   mix.pages_per_process = 256;
-  return workload::lanl_fleet_jobs(mix);
+  const std::uint64_t t0 = obs::wall_now_ns();
+  Mix m{workload::lanl_fleet_jobs(mix)};
+  m.build_s = obs::wall_seconds_since(t0);
+  return m;
 }
 
 fleet::QosPolicy fleet_policy(double bandwidth_bps) {
@@ -86,14 +96,14 @@ struct ScaleResult {
   fleet::FleetReport report;
 };
 
-ScaleResult run_scale(std::size_t jobs, int shards) {
-  const fleet::FleetConfig cfg = fleet_config(shards, jobs);
-  fleet::FleetScheduler fleet(cfg, fleet_mix(jobs),
+ScaleResult run_scale(const Mix& mix, int shards) {
+  const fleet::FleetConfig cfg = fleet_config(shards, mix.jobs.size());
+  fleet::FleetScheduler fleet(cfg, mix.jobs,
                               fleet_policy(cfg.bandwidth_bps));
   const std::uint64_t t0 = obs::wall_now_ns();
   fleet.run();
   ScaleResult r;
-  r.jobs = jobs;
+  r.jobs = mix.jobs.size();
   r.wall_s = obs::wall_seconds_since(t0);
   r.report = fleet.report();
   return r;
@@ -101,7 +111,7 @@ ScaleResult run_scale(std::size_t jobs, int shards) {
 
 /// Same run with the full telemetry plane attached: per-round sampling,
 /// SLO rules with burn windows, and causal time-to-safe chains.
-ScaleResult run_scale_telemetry(std::size_t jobs, int shards) {
+ScaleResult run_scale_telemetry(const Mix& mix, int shards) {
   obs::Hub hub;
   obs::Telemetry& tel = hub.enable_telemetry();
   namespace on = obs::names;
@@ -109,14 +119,14 @@ ScaleResult run_scale_telemetry(std::size_t jobs, int shards) {
                      " > 1.0");
   tel.slo().add_rule(std::string("tts-p99: ") + on::kFleetTimeToSafeSeconds +
                      ".p99 < 120 budget 0.1 burn 60/600 x2");
-  fleet::FleetConfig cfg = fleet_config(shards, jobs);
+  fleet::FleetConfig cfg = fleet_config(shards, mix.jobs.size());
   cfg.obs = &hub;
-  fleet::FleetScheduler fleet(cfg, fleet_mix(jobs),
+  fleet::FleetScheduler fleet(cfg, mix.jobs,
                               fleet_policy(cfg.bandwidth_bps));
   const std::uint64_t t0 = obs::wall_now_ns();
   fleet.run();
   ScaleResult r;
-  r.jobs = jobs;
+  r.jobs = mix.jobs.size();
   r.wall_s = obs::wall_seconds_since(t0);
   r.report = fleet.report();
   return r;
@@ -132,13 +142,16 @@ int main() {
       bench::smoke_mode() ? std::vector<std::size_t>{30, 100}
                           : std::vector<std::size_t>{100, 1000, 10000,
                                                      100000};
+  std::vector<Mix> mixes;
+  for (const std::size_t jobs : scales) mixes.push_back(fleet_mix(jobs));
 
   // Determinism first: the base scale must produce one timeline no matter
   // how the simulation core is sharded.
   {
-    const ScaleResult one = run_scale(scales.front(), 1);
-    const ScaleResult two = run_scale(scales.front(), 2);
-    const ScaleResult four = run_scale(scales.front(), 4);
+    const Mix& base = mixes.front();
+    const ScaleResult one = run_scale(base, 1);
+    const ScaleResult two = run_scale(base, 2);
+    const ScaleResult four = run_scale(base, 4);
     check.expect(one.report.digest == two.report.digest &&
                      one.report.digest == four.report.digest,
                  "timeline digest is byte-identical at 1/2/4 shards");
@@ -151,9 +164,9 @@ int main() {
     // every round boundary) must reproduce the same digest at every shard
     // count, and the observed run's goodput must stay within 2% of the
     // unobserved one — the observability tax the fleet is allowed to pay.
-    const ScaleResult t_one = run_scale_telemetry(scales.front(), 1);
-    const ScaleResult t_two = run_scale_telemetry(scales.front(), 2);
-    const ScaleResult t_four = run_scale_telemetry(scales.front(), 4);
+    const ScaleResult t_one = run_scale_telemetry(base, 1);
+    const ScaleResult t_two = run_scale_telemetry(base, 2);
+    const ScaleResult t_four = run_scale_telemetry(base, 4);
     check.expect(t_one.report.digest == one.report.digest &&
                      t_two.report.digest == one.report.digest &&
                      t_four.report.digest == one.report.digest,
@@ -171,13 +184,15 @@ int main() {
                     "NET^2 GB", "failures", "wall s"});
 
   std::vector<ScaleResult> results;
-  for (const std::size_t jobs : scales) {
-    ScaleResult r = run_scale(jobs, 1);
+  for (const Mix& mix : mixes) {
+    const std::size_t jobs = mix.jobs.size();
+    ScaleResult r = run_scale(mix, 1);
     const std::string tag = "fleet.jobs" + std::to_string(jobs);
     if (jobs == kWallSampledJobs) {
+      session.sample(tag + ".mix_s", "s", mix.build_s);
       std::vector<double> walls{r.wall_s};
       for (int i = 1; i < kWallReps; ++i) {
-        walls.push_back(run_scale(jobs, 1).wall_s);
+        walls.push_back(run_scale(mix, 1).wall_s);
       }
       for (const double w : walls) session.sample(tag + ".wall_s", "s", w);
       std::sort(walls.begin(), walls.end());
