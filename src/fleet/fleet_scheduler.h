@@ -288,8 +288,8 @@ class FleetScheduler {
   std::vector<std::uint32_t> unreleased_;   // finished, not yet released
   /// job_id -> slot, for job_stats() and the duplicate-id check.
   std::map<std::uint64_t, std::size_t> index_;
-  /// Arrival order (indices into the ctor's spec vector, sorted by
-  /// (arrival_s, job_id)); next_arrival_ points at the first unoffered.
+  /// The ctor's job specs in arrival order, sorted by (arrival_s,
+  /// job_id); next_arrival_ indexes the first not yet offered.
   std::vector<workload::FleetJobSpec> pending_;
   std::size_t next_arrival_ = 0;
   double now_ = 0.0;
