@@ -149,18 +149,19 @@ CoordinatedResult run_coordinated(Scheme scheme,
     now += base.decision_period;
     const double elapsed = now - interval_start;
     const bool core_free = now >= core_free_at - 1e-9;
+    const bool done = finished();
     bool take;
     if (scheme == Scheme::kSic) {
-      take = elapsed >= w_static && core_free;
+      take = elapsed >= w_static && core_free && !done;
     } else {
       const IntervalParams cur = job_estimate(ranks, base.costs);
       const DecisionTrace d =
-          decider.decide(now, elapsed, cur, prev, core_free);
+          decider.decide(now, elapsed, cur, prev, core_free, done);
       if (base.decision_hook) base.decision_hook(d);
       take = d.take;
     }
 
-    if (take && !finished()) {
+    if (take) {
       // Coordinated capture: every rank checkpoints at the barrier; the
       // realized job latency aggregates by max, delta bytes by sum.
       IntervalParams measured{};

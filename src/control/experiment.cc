@@ -252,14 +252,14 @@ ExperimentResult run_aic(workload::SpecBenchmark benchmark,
       cur = estimate_params(metrics.dirty_pages * double(kPageSize),
                             metrics.jd, config.costs);
     }
-    const DecisionTrace d =
-        decider.decide(run.now(), run.interval_elapsed(), cur,
-                       run.prev_params(), run.core_free());
-    run.add_decision_overhead(config.costs.decision_seconds);
-    if (config.decision_hook) config.decision_hook(d);
     // No checkpoint is forced at job completion: the job is done and the
     // tail segment simply runs out.
-    if (d.take && !run.finished()) {
+    const DecisionTrace d =
+        decider.decide(run.now(), run.interval_elapsed(), cur,
+                       run.prev_params(), run.core_free(), run.finished());
+    run.add_decision_overhead(config.costs.decision_seconds);
+    if (config.decision_hook) config.decision_hook(d);
+    if (d.take) {
       const IntervalRecord rec = run.checkpoint(metrics);
       run.set_last_predicted_c3(d.c3_pred);
       if (predictor.warmed_up() && rec.delta_bytes > 0) {
@@ -390,7 +390,8 @@ AicDecider::AicDecider(const model::SystemProfile& system, obs::Hub* obs)
 
 DecisionTrace AicDecider::decide(double now, double elapsed,
                                  const IntervalParams& cur,
-                                 const IntervalParams& prev, bool core_free) {
+                                 const IntervalParams& prev, bool core_free,
+                                 bool job_finished) {
   model::EvtDiag diag;
   const double w_star =
       model::extreme_value_minimum(
@@ -431,7 +432,8 @@ DecisionTrace AicDecider::decide(double now, double elapsed,
              cur.c3 <= kMeanFraction * window_mean || upturn;
   d.starved = elapsed > kStarvationFactor * w_star;
   d.core_free = core_free;
-  d.take = d.span_reached && (d.at_dip || d.starved) && core_free;
+  d.take = d.span_reached && (d.at_dip || d.starved) && core_free &&
+           !job_finished;
   if (obs_ != nullptr) {
     evals_->add();
     newton_iters_->observe(double(diag.newton_iters));

@@ -72,10 +72,12 @@ class AicDecider {
   /// One decision at app time `now`, `elapsed` seconds into the interval:
   /// `cur` is the estimated cost of checkpointing now, `prev` the measured
   /// cost of the last checkpoint. The result's `take` already requires
-  /// `core_free`.
+  /// `core_free` and a job that has not finished: a decision made after
+  /// the job's last step is still made and reported, but takes nothing.
   DecisionTrace decide(double now, double elapsed,
                        const model::IntervalParams& cur,
-                       const model::IntervalParams& prev, bool core_free);
+                       const model::IntervalParams& prev, bool core_free,
+                       bool job_finished);
 
  private:
   model::SystemProfile system_;

@@ -142,6 +142,7 @@ TEST(Coordinated, DecisionHookSeesEveryAicDecision) {
   EXPECT_GT(calls, 0u);
   EXPECT_EQ(calls, snap.counter_or_zero(obs::names::kDeciderEvaluations));
   EXPECT_EQ(takes, snap.counter_or_zero(obs::names::kDeciderTakes));
+  EXPECT_EQ(takes, res.checkpoints);
 
   calls = 0;
   (void)run_coordinated(Scheme::kSic, workload::SpecBenchmark::kMilc, cfg);

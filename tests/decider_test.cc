@@ -229,7 +229,7 @@ constexpr double kReached = 100.0;
 DecisionTrace step(AicDecider& decider, double c3, double elapsed = kReached,
                    bool core_free = true) {
   const DecisionTrace d =
-      decider.decide(0.0, elapsed, cost(c3), cost(50.0), core_free);
+      decider.decide(0.0, elapsed, cost(c3), cost(50.0), core_free, false);
   EXPECT_LT(d.w_star, kReached);
   EXPECT_GT(3.0 * d.w_star, kReached);
   return d;
@@ -291,13 +291,15 @@ TEST(AicDecider, StarvationFiresPastThreeTimesTheSpan) {
   EXPECT_FALSE(waiting.take);
 
   const DecisionTrace short_span =
-      decider.decide(0.0, 0.5 * waiting.w_star, cost(10), cost(50), true);
+      decider.decide(0.0, 0.5 * waiting.w_star, cost(10), cost(50), true,
+                     false);
   EXPECT_TRUE(short_span.at_dip);
   EXPECT_FALSE(short_span.span_reached) << "a dip before w_L* waits";
   EXPECT_FALSE(short_span.take);
 
   const DecisionTrace starved =
-      decider.decide(0.0, 4.0 * waiting.w_star, cost(100), cost(50), true);
+      decider.decide(0.0, 4.0 * waiting.w_star, cost(100), cost(50), true,
+                     false);
   EXPECT_FALSE(starved.at_dip);
   EXPECT_TRUE(starved.starved);
   EXPECT_TRUE(starved.take);

@@ -4,12 +4,16 @@
 // configuration (the fig11/table3 setup at workload scale 0.25). The
 // decider's inputs, its w_L* search and its gating all feed these figures,
 // so a refactor of the decision path must reproduce them bit for bit. One
-// test per run, so ctest runs them in parallel.
+// test per run, so ctest runs them in parallel. AicDecisions checks what
+// the decider reports on one of these runs.
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
 
 #include "control/experiment.h"
+#include "obs/names.h"
+#include "obs/trace.h"
 
 namespace aic::control {
 namespace {
@@ -71,6 +75,24 @@ TEST(AicPin, Lbm) {
 TEST(AicPin, Sphinx3) {
   expect_pinned(Scheme::kAic, SpecBenchmark::kSphinx3,
                 {1.0031574454858954, 413, 750.04566323200004});
+}
+
+// The run's last decision falls after the job's final step, where no
+// checkpoint can follow; sphinx3 checkpoints often enough that it would
+// be a take. Every take reported to the hook and the hub is a checkpoint.
+TEST(AicDecisions, EveryReportedTakeIsACheckpoint) {
+  ExperimentConfig cfg = testbed_config(SpecBenchmark::kSphinx3);
+  obs::Hub hub(1 << 12);
+  cfg.obs = &hub;
+  std::uint64_t takes = 0;
+  cfg.decision_hook = [&takes](const DecisionTrace& d) { takes += d.take; };
+  const ExperimentResult r =
+      run_experiment(Scheme::kAic, SpecBenchmark::kSphinx3, cfg);
+  EXPECT_EQ(r.intervals.size(), 413u);
+  EXPECT_EQ(takes, r.intervals.size());
+  EXPECT_EQ(
+      hub.metrics.snapshot().counter_or_zero(obs::names::kDeciderTakes),
+      r.intervals.size());
 }
 
 TEST(SicPin, Sjeng) {
