@@ -16,8 +16,8 @@
 #include "bench_util.h"
 #include "common/rng.h"
 #include "common/table.h"
-#include "storage/staged_sink.h"
 #include "storage/storage.h"
+#include "storage/target_sink.h"
 #include "xfer/scheduler.h"
 
 using namespace aic;
@@ -47,7 +47,7 @@ int main() {
                       "aggregate B/s", "elapsed s"});
   for (std::size_t n : {1, 2, 4, 8}) {
     storage::RemoteStore target(1.0e12);
-    storage::StagedTargetSink sink(target);
+    storage::TargetSink sink(target);
     xfer::TransferScheduler::Config cfg;
     cfg.chunk_bytes = chunk;
     xfer::TransferScheduler sched(cfg);
@@ -96,7 +96,7 @@ int main() {
   double last_goodput = 2.0 * bandwidth;
   for (double p : {0.0, 0.1, 0.3}) {
     storage::RemoteStore target(1.0e12);
-    storage::StagedTargetSink sink(target);
+    storage::TargetSink sink(target);
     xfer::TransferScheduler::Config cfg;
     cfg.chunk_bytes = chunk;
     cfg.retry.max_attempts_per_chunk = 32;  // ride out long loss bursts

@@ -4,8 +4,8 @@
 // parity reconstruction and a full reseed after a catastrophic loss.
 //
 // Act two kills a node *mid-drain*: an L3 transfer is interrupted between
-// two chunks, the staged partial stays invisible to recover(), and the
-// resumed drain finishes from the last acked chunk, byte-identical.
+// two chunks, nothing of it is visible to recover(), and the resumed drain
+// finishes from the last acked chunk, byte-identical.
 //
 //   build/examples/example_multilevel_storage
 #include <cstdio>
@@ -17,9 +17,10 @@ using namespace aic;
 namespace {
 
 // A node dies while its checkpoint is still draining to remote storage.
-// Demonstrates the transfer-engine guarantees: staging is invisible until
-// the atomic commit, an interrupt keeps the acked-byte watermark, and the
-// resumed drain produces the identical object.
+// Demonstrates the transfer-engine guarantees: an object is published
+// whole when its last chunk acks and never before, an interrupt keeps the
+// acked-byte watermark, and the resumed drain produces the identical
+// object.
 bool mid_transfer_failure_walkthrough() {
   storage::MultiLevelConfig cfg;
   cfg.remote_bps = 64.0 * 1024;        // slow L3 uplink: the drain lingers
@@ -56,10 +57,10 @@ bool mid_transfer_failure_walkthrough() {
                          0.5 * double(expected.size()) / cfg.remote_bps);
   const auto& rec = store.xfer().record(*ticket.remote);
   std::printf("mid-drain:      remote acked %llu/%llu bytes; "
-              "%zu staged partial(s); visible remote copy: %s\n",
+              "%zu drain(s) unfinished; visible remote copy: %s\n",
               (unsigned long long)rec.acked_bytes,
               (unsigned long long)rec.total_bytes,
-              store.remote_staging().partial_count(),
+              store.unfinished_drains(),
               store.remote().get("ckpt-1") ? "YES (torn!)" : "none");
 
   // The node dies. The local disk is lost and the in-flight drain is
@@ -85,7 +86,7 @@ bool mid_transfer_failure_walkthrough() {
               (unsigned long long)(remote_copy ? remote_copy->size() : 0),
               (unsigned long long)store.xfer().stats().transfers_interrupted);
   return rec2.has_value() && rec2->chain.size() == 2 && resumed > 0 &&
-         identical && store.remote_staging().partial_count() == 0;
+         identical && store.unfinished_drains() == 0;
 }
 
 }  // namespace
@@ -150,7 +151,7 @@ int main() {
               double(copied) / 1024.0, r4->level_used,
               verify(*r4) ? "byte-exact" : "CORRUPT");
 
-  std::printf("\n-- act two: failure mid-drain, staged partial resumed --\n");
+  std::printf("\n-- act two: failure mid-drain, partial drain resumed --\n");
   const bool xfer_ok = mid_transfer_failure_walkthrough();
 
   return (verify(*r1) && verify(*r2) && verify(*r3) && verify(*r4) &&

@@ -14,9 +14,9 @@
 //               sharing, injectable faults), retry/backoff state machine,
 //               interrupt/resume of drains
 //   storage/    local disk / RAID-5 partner group / remote store models,
-//               glued to the transfer engine by MultiLevelStore (staged
-//               atomic commits through StagedTargetSink) and to the chain
-//               by AsyncCheckpointer's worker-thread core
+//               glued to the transfer engine by MultiLevelStore (each
+//               drain published whole at commit through TargetSink) and
+//               to the chain by AsyncCheckpointer's worker-thread core
 //   failure/    per-level exponential failure processes
 //   model/      Markov interval models (L1L3, L2L3, L1L2L3), the Moody
 //               baseline, NET^2, optimizers (grid + Newton–Raphson)
@@ -68,8 +68,8 @@
 #include "sim/failure_sim.h"
 #include "storage/async_checkpointer.h"
 #include "storage/multilevel_store.h"
-#include "storage/staged_sink.h"
 #include "storage/storage.h"
+#include "storage/target_sink.h"
 #include "trace/lanl_trace.h"
 #include "verify/chain_verifier.h"
 #include "workload/workload.h"

@@ -25,8 +25,8 @@ const std::map<std::string, std::set<std::string>>& layering_policy() {
        {"common", "ckpt", "control", "failure", "mem", "model", "obs",
         "storage", "workload", "xfer"}},
       {"fleet",
-       {"common", "ckpt", "failure", "mem", "model", "obs", "sim",
-        "workload", "xfer"}},
+       {"common", "ckpt", "failure", "mem", "model", "obs", "workload",
+        "xfer"}},
       {"aic",
        {"common", "obs", "mem", "model", "trace", "analysis", "workload",
         "failure", "delta", "predictor", "xfer", "storage", "ckpt", "verify",

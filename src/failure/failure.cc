@@ -17,6 +17,11 @@ FailureInjector::FailureInjector(FailureSpec spec, Rng rng)
   for (double l : spec_.lambda) AIC_CHECK(l >= 0.0);
 }
 
+std::uint64_t job_stream_seed(std::uint64_t fleet_seed, std::uint64_t job_id) {
+  std::uint64_t state = fleet_seed ^ (job_id * 0x9E3779B97f4A7C15ULL);
+  return splitmix64(state);
+}
+
 FailureEvent FailureInjector::next_after(double now) {
   const double total = spec_.total();
   if (total <= 0.0) {

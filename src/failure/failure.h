@@ -49,4 +49,11 @@ class FailureInjector {
   Rng rng_;
 };
 
+/// Seed of one job's failure stream in a fleet: a SplitMix64 mix of the
+/// fleet seed and the job id alone. Sampling every job from one shared RNG
+/// would tie each job's failures to the fleet's composition and to the
+/// order shards draw in; this stream is invariant under shard count,
+/// admission order and which other jobs share the fleet.
+std::uint64_t job_stream_seed(std::uint64_t fleet_seed, std::uint64_t job_id);
+
 }  // namespace aic::failure

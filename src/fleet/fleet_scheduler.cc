@@ -5,8 +5,8 @@
 #include <cmath>
 #include <iterator>
 #include <limits>
+#include <memory>
 #include <string>
-#include <unordered_map>
 #include <utility>
 
 #include "common/check.h"
@@ -22,27 +22,6 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr int kDrainLevel = 3;
-
-/// Staging sink that only tracks sizes: fleet drains are synthetic
-/// (submit_sized), so "storing" a checkpoint is accounting, not bytes.
-/// Hashed, since every chunk the engine delivers looks its key up.
-class CountingSink final : public xfer::ChunkSink {
- public:
-  void stage(const std::string& key, std::uint64_t offset, ByteSpan chunk,
-             std::uint64_t /*total_bytes*/) override {
-    auto& staged = staged_[key];
-    staged = std::max(staged, offset + chunk.size());
-  }
-  std::uint64_t staged_bytes(const std::string& key) const override {
-    auto it = staged_.find(key);
-    return it == staged_.end() ? 0 : it->second;
-  }
-  void commit(const std::string& key) override { staged_.erase(key); }
-  void discard(const std::string& key) override { staged_.erase(key); }
-
- private:
-  std::unordered_map<std::string, std::uint64_t> staged_;
-};
 
 /// Writes the decimal digits of `v` to end just before `end` and returns
 /// where they start.
@@ -108,8 +87,7 @@ FleetScheduler::FleetScheduler(FleetConfig config,
         c.chunk_bytes = config.chunk_bytes;
         c.obs = config.obs;
         return c;
-      }()),
-      sink_(std::make_unique<CountingSink>()) {
+      }()) {
   AIC_CHECK_MSG(config_.shards >= 1,
                 "shard count must be >= 1, got " << config_.shards);
   AIC_CHECK_MSG(config_.quantum_s > 0.0,
@@ -120,8 +98,10 @@ FleetScheduler::FleetScheduler(FleetConfig config,
   AIC_CHECK_MSG(config_.full_every >= 1, "full_every must be >= 1");
   AIC_CHECK_MSG(config_.ewma_alpha > 0.0 && config_.ewma_alpha <= 1.0,
                 "ewma_alpha must be in (0, 1], got " << config_.ewma_alpha);
-  sched_.add_level(kDrainLevel,
-                   {config_.bandwidth_bps, config_.latency_s}, sink_.get());
+  // Fleet drains are size-only: the level publishes nothing, so it has no
+  // sink.
+  sched_.add_level(kDrainLevel, {config_.bandwidth_bps, config_.latency_s},
+                   nullptr);
   // Installs the tenant table; a reservation set that oversubscribes the
   // channel throws xfer::ReservationError here, before any job runs.
   policy_.apply(sched_, kDrainLevel);
@@ -257,9 +237,11 @@ void FleetScheduler::sync_width(JobState& j, double at,
   // stream keyed by the width alone would replay the same first strike
   // after every re-crossing of a boundary, and a job whose strike falls
   // before its next commit would never get past it.
-  j.failures = sim::JobFailureProcess(
+  j.failures = failure::FailureInjector(
       failure::FailureSpec::from_total(config_.lambda_total * size_factor(j)),
-      config_.seed ^ (0x9E3779B97F4A7C15ULL * j.width_epoch), j.spec.job_id);
+      Rng(failure::job_stream_seed(
+          config_.seed ^ (0x9E3779B97F4A7C15ULL * j.width_epoch),
+          j.spec.job_id)));
   j.next_failure = j.failures.next_after(at);
   // Re-plan the work span at the new width immediately — the post-resize
   // exposure and delta size make the previous schedule stale.
@@ -278,9 +260,9 @@ void FleetScheduler::activate(const workload::FleetJobSpec& spec,
                 "duplicate fleet job id " << spec.job_id);
   jobs_.emplace_back(
       spec,
-      sim::JobFailureProcess(
+      failure::FailureInjector(
           failure::FailureSpec::from_total(config_.lambda_total),
-          config_.seed, spec.job_id),
+          Rng(failure::job_stream_seed(config_.seed, spec.job_id))),
       slot);
   live_jobs_.push_back(slot);
   JobState& j = jobs_.back();
@@ -584,7 +566,7 @@ bool FleetScheduler::settle_drain(JobState& j, double t1) {
     j.drain_id = 0;
     j.drain_outstanding = false;
     j.drain_interrupted = false;
-    // The staged partial is gone; the next capture must be
+    // The partial drain is gone; the next capture must be
     // self-contained.
     j.force_full = true;
     if (!j.finished) j.next_ckpt = t1;

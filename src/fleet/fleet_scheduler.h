@@ -9,7 +9,8 @@
 // xfer::TransferScheduler whose chunk pricing enforces the per-tenant QoS
 // contracts (fleet::QosPolicy). An AdmissionController bounds the
 // aggregate steady-state drain demand; per-job Poisson failure processes
-// (sim::JobFailureProcess) strike individual jobs mid-drain.
+// (failure::FailureInjector, seeded by failure::job_stream_seed) strike
+// individual jobs mid-drain.
 //
 // Sharded virtual time, byte-deterministic under any shard count:
 //
@@ -37,14 +38,13 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <vector>
 
 #include "ckpt/rewind_window.h"
+#include "failure/failure.h"
 #include "fleet/admission.h"
 #include "fleet/qos_policy.h"
 #include "fleet/tenant.h"
-#include "sim/fleet_failures.h"
 #include "workload/lanl_trace.h"
 #include "xfer/scheduler.h"
 
@@ -200,12 +200,12 @@ class FleetScheduler {
     double factor = 1.0;      // kResize: new width / base width
   };
   struct JobState {
-    JobState(workload::FleetJobSpec s, sim::JobFailureProcess f,
+    JobState(workload::FleetJobSpec s, failure::FailureInjector f,
              std::uint32_t at)
         : spec(std::move(s)), failures(std::move(f)), slot(at) {}
 
     workload::FleetJobSpec spec;
-    sim::JobFailureProcess failures;
+    failure::FailureInjector failures;
     std::uint32_t slot;  // index in jobs_
     bool finished = false;
     bool released = false;
@@ -277,9 +277,6 @@ class FleetScheduler {
   QosPolicy policy_;
   AdmissionController admission_;
   xfer::TransferScheduler sched_;
-  /// Staging sink that counts instead of storing (fleet drains are
-  /// size-only; see TransferScheduler::submit_sized).
-  std::unique_ptr<xfer::ChunkSink> sink_;
   std::vector<JobState> jobs_;
   // The round loop visits these lists of slots (indices into jobs_), never
   // all of jobs_: one round costs what is live.

@@ -8,7 +8,7 @@
 // The L1 write is synchronous and blocking (the paper's c1 halt). The L2
 // and L3 placements are *drains* through the xfer transfer engine: each
 // put becomes a chunked transfer over that level's simulated channel,
-// staged invisibly until atomically committed, interruptible by failures
+// published whole once its last chunk acks, interruptible by failures
 // mid-flight, and resumable from the last acked chunk. put_checkpoint()
 // runs the drains to completion in virtual time (the original synchronous
 // contract); put_checkpoint_async() only queues them, so a caller driving
@@ -17,7 +17,7 @@
 //
 // recover() answers "what is the newest restorable chain after a level-k
 // failure", actually reading the surviving copies — including the RAID-5
-// reconstruction path when a partner node is down. Staged partials are
+// reconstruction path when a partner node is down. A drain in progress is
 // never visible to it: a torn drain can cost at most one checkpoint of
 // recency, never a corrupt restore.
 #pragma once
@@ -31,8 +31,8 @@
 
 #include "ckpt/checkpoint_file.h"
 #include "common/rng.h"
-#include "storage/staged_sink.h"
 #include "storage/storage.h"
+#include "storage/target_sink.h"
 #include "xfer/scheduler.h"
 
 namespace aic::storage {
@@ -103,7 +103,7 @@ class MultiLevelStore {
   /// so far, preferring the cheapest surviving level; nullopt if nothing
   /// restorable survives (no full checkpoint anywhere). Also reports the
   /// read time and the level used. Only committed objects are visible —
-  /// never staged partials.
+  /// never a drain in progress.
   struct Recovery {
     std::vector<ckpt::CheckpointFile> chain;
     double read_seconds = 0.0;
@@ -112,9 +112,8 @@ class MultiLevelStore {
   std::optional<Recovery> recover() const;
 
   /// Rolls the store back to the first `count` checkpoints: newer
-  /// committed objects are erased everywhere and their live drains (and
-  /// staged partials) discarded. Pairs with CheckpointChain::rollback_to
-  /// after a recovery.
+  /// committed objects are erased everywhere and their live drains
+  /// discarded. Pairs with CheckpointChain::rollback_to after a recovery.
   void truncate_to(std::uint64_t count);
 
   /// Rewind-window reclamation: erases one mid-chain checkpoint at every
@@ -146,11 +145,6 @@ class MultiLevelStore {
   /// per-transfer records and aggregate xfer::Stats.
   xfer::TransferScheduler& xfer() { return xfer_; }
   const xfer::TransferScheduler& xfer() const { return xfer_; }
-  /// Staged (in-progress) partials per level, for diagnostics and tests.
-  const StagedTargetSink& raid_staging() const { return raid_sink_; }
-  const StagedTargetSink& remote_staging() const {
-    return remote_sink_;
-  }
 
   std::uint64_t checkpoints_stored() const { return next_index_; }
 
@@ -171,8 +165,8 @@ class MultiLevelStore {
   LocalDisk local_;
   Raid5Group raid_;
   RemoteStore remote_;
-  StagedTargetSink raid_sink_;
-  StagedTargetSink remote_sink_;
+  TargetSink raid_sink_;
+  TargetSink remote_sink_;
   xfer::TransferScheduler xfer_;
   std::uint64_t next_index_ = 0;
   /// index -> is this a full checkpoint (chain boundaries).

@@ -17,9 +17,9 @@
 //   kDrop          the chunk never arrives; the attempt wastes wire time.
 //   kStall         delivery is delayed; the scheduler's chunk timeout may
 //                  turn the stall into a failed attempt.
-//   kPartialWrite  only a prefix of the chunk reaches the sink before the
-//                  connection breaks — the staged bytes are garbage past
-//                  the last ack and MUST be overwritten by the retry.
+//   kPartialWrite  only a prefix of the chunk reaches the far side before
+//                  the connection breaks; the attempt fails and the retry
+//                  resends the whole chunk from the last ack.
 #pragma once
 
 #include <cstdint>

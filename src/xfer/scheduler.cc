@@ -70,8 +70,7 @@ TransferScheduler::TransferScheduler(Config config) : config_(config) {
 }
 
 void TransferScheduler::add_level(int level, Channel::Config channel,
-                                  ChunkSink* sink) {
-  AIC_CHECK_MSG(sink != nullptr, "level " << level << " needs a sink");
+                                  ObjectSink* sink) {
   AIC_CHECK_MSG(levels_.count(level) == 0,
                 "level " << level << " already registered");
   Level& l = levels_[level];
@@ -147,6 +146,9 @@ TransferId TransferScheduler::admit(int level, std::string key,
                 "submit to unregistered level " << level);
   AIC_CHECK_MSG(!synthetic || total_bytes > 0,
                 "sized submit of empty object " << key);
+  AIC_CHECK_MSG(synthetic || lit->second.sink != nullptr,
+                "payload submit of " << key << " to level " << level
+                                     << ", which has no sink");
   bool fresh_key = false;
   if (spare_keys_.empty()) {
     fresh_key = lit->second.keys.insert(key).second;
@@ -279,8 +281,7 @@ void TransferScheduler::close_stream(Entry& e) {
 }
 
 void TransferScheduler::commit(Entry& e) {
-  e.level->sink->commit(e.rec.key);
-  Bytes().swap(e.data);  // the sink holds the object now; nothing resends
+  if (!e.synthetic) e.level->sink->commit(e.rec.key, std::move(e.data));
   close_causal(e, false);
   e.rec.state = TransferState::kCommitted;
   e.rec.commit_time = now_;
@@ -307,10 +308,7 @@ void TransferScheduler::start_ready_attempts() {
   std::size_t starting = 0;
   for (Entry* e : due_) {
     if (e->rec.acked_bytes >= e->rec.total_bytes) {
-      // Zero-byte object (or nothing left): publish without touching the
-      // wire. Ensure a staged (possibly empty) entry exists to commit.
-      e->level->sink->stage(e->rec.key, e->rec.acked_bytes, ByteSpan{},
-                            e->rec.total_bytes);
+      // Zero-byte object: publish without touching the wire.
       commit(*e);
       reschedule(*e);
       continue;
@@ -334,7 +332,6 @@ void TransferScheduler::start_ready_attempts() {
     if (timeout > 0.0 && out.seconds > timeout) {
       out.acked = false;
       out.seconds = timeout;
-      out.bytes_delivered = 0;
     }
     e->rec.state = TransferState::kInFlight;
     ++e->rec.chunk_attempts;
@@ -344,7 +341,6 @@ void TransferScheduler::start_ready_attempts() {
     e->attempt_end = now_ + out.seconds;
     e->attempt_acked = out.acked;
     e->attempt_bytes = chunk;
-    e->attempt_delivered = out.bytes_delivered;
     reschedule(*e);
   }
 }
@@ -380,7 +376,6 @@ void TransferScheduler::price_lanes(Level& level) {
 }
 
 void TransferScheduler::finish_attempt(Entry& e) {
-  Level& level = *e.level;
   close_stream(e);
   e.rec.stats.wire_seconds += e.attempt_end - e.attempt_start;
   e.seg_inflight_s += e.attempt_end - e.attempt_start;
@@ -392,25 +387,6 @@ void TransferScheduler::finish_attempt(Entry& e) {
         {{"offset", double(e.rec.acked_bytes)},
          {"bytes", double(e.attempt_bytes)},
          {"ok", e.attempt_acked ? 1.0 : 0.0}});
-  }
-
-  if (e.attempt_delivered > 0) {
-    // Bytes that physically arrived are staged even when the attempt
-    // failed (partial write): the retry overwrites them at the same
-    // offset, which is what keeps staging idempotent.
-    if (e.synthetic) {
-      if (scratch_.size() < e.attempt_delivered) {
-        scratch_.assign(e.attempt_delivered, 0);
-      }
-      level.sink->stage(e.rec.key, e.rec.acked_bytes,
-                        ByteSpan(scratch_.data(), e.attempt_delivered),
-                        e.rec.total_bytes);
-    } else {
-      level.sink->stage(
-          e.rec.key, e.rec.acked_bytes,
-          ByteSpan(e.data.data() + e.rec.acked_bytes, e.attempt_delivered),
-          e.rec.total_bytes);
-    }
   }
 
   if (e.attempt_acked) {
@@ -449,7 +425,6 @@ void TransferScheduler::finish_attempt(Entry& e) {
     close_causal(e, true);
     e.rec.state = TransferState::kAborted;
     ++e.rec.stats.transfers_aborted;
-    level.sink->discard(e.rec.key);
     if (config_.obs) {
       m_aborts_->add();
       config_.obs->trace.instant(
@@ -613,7 +588,6 @@ void TransferScheduler::discard(TransferId id) {
   Entry& e = it->second;
   if (e.attempt_active) close_stream(e);
   if (!e.rec.terminal()) {
-    e.level->sink->discard(e.rec.key);
     // Dropping a live drain abandons its checkpoint: close the chain
     // aborted so the attribution ledger balances.
     refund_backoff(e);

@@ -15,8 +15,9 @@
 //     retries after capped exponential backoff; exhausting the per-chunk
 //     attempt budget aborts the transfer with a TransferError naming the
 //     level and chunk offset;
-//   * delivered bytes land in the level's ChunkSink staging area and the
-//     object is atomically committed only after the last chunk acks;
+//   * a payload drain's object is handed whole to the level's ObjectSink
+//     when its last chunk acks, never before; a size-only drain publishes
+//     nothing;
 //   * interrupt_level() models a failure striking mid-drain: in-flight
 //     and queued transfers to that level become kInterrupted resumable
 //     partials, and resume_level() re-drains from the last acked chunk.
@@ -72,9 +73,10 @@ class TransferScheduler {
   TransferScheduler();
   explicit TransferScheduler(Config config);
 
-  /// Registers a destination level with its channel parameters and staging
-  /// sink. The sink must outlive the scheduler.
-  void add_level(int level, Channel::Config channel, ChunkSink* sink);
+  /// Registers a destination level with its channel parameters and the
+  /// sink its committed objects go to, which must outlive the scheduler.
+  /// A level registered without a sink takes only size-only drains.
+  void add_level(int level, Channel::Config channel, ObjectSink* sink);
   bool has_level(int level) const { return levels_.count(level) > 0; }
   /// The level's channel, for fault injection and inspection.
   Channel& channel(int level);
@@ -91,18 +93,17 @@ class TransferScheduler {
 
   /// Queues a drain of `data` to `level` under object name `key`; the
   /// transfer starts at the next run_*() call. Keys must be unique among
-  /// live (non-discarded) transfers to the same level. `tenant` selects
-  /// the QoS lane (see TenantQos); the default tenant 0 reproduces the
-  /// pre-QoS equal B/N split.
+  /// live (non-discarded) transfers to the same level, and the level must
+  /// have a sink. `tenant` selects the QoS lane (see TenantQos); the
+  /// default tenant 0 reproduces the pre-QoS equal B/N split.
   TransferId submit(int level, std::string key, Bytes data,
                     std::uint64_t tenant = 0);
 
   /// Size-only drain for fleet-scale simulation: the transfer carries
-  /// `total_bytes` of synthetic (zero) payload that is never materialized —
-  /// chunks are staged from a shared scratch buffer, so ten thousand
-  /// concurrent multi-GB drains cost chunk_bytes of memory, not the sum of
-  /// their footprints. Timing, pricing, interrupt/resume, commit and key
-  /// uniqueness semantics are identical to submit().
+  /// `total_bytes` that are never materialized, so ten thousand concurrent
+  /// multi-GB drains cost no payload memory, and its commit publishes
+  /// nothing. Timing, pricing, interrupt/resume, commit and key uniqueness
+  /// semantics are identical to submit().
   TransferId submit_sized(int level, std::string key,
                           std::uint64_t total_bytes, std::uint64_t tenant = 0);
 
@@ -135,8 +136,8 @@ class TransferScheduler {
   /// from the last acked chunk). Returns false unless it was interrupted.
   bool resume(TransferId id);
 
-  /// Drops a transfer and its staged partial entirely (rollback of a
-  /// checkpoint that no longer exists). Terminal records are erased too.
+  /// Drops a transfer and its payload entirely (rollback of a checkpoint
+  /// that no longer exists). Terminal records are erased too.
   void discard(TransferId id);
 
   /// Associates a causal chain (obs/causal.h, id from CausalLog::open)
@@ -170,7 +171,7 @@ class TransferScheduler {
   };
   struct Level {
     std::unique_ptr<Channel> channel;
-    ChunkSink* sink = nullptr;
+    ObjectSink* sink = nullptr;
     /// Per-tenant QoS; absent tenants price as {1.0, 0.0}.
     std::map<std::uint64_t, TenantQos> qos;
     TenantQos qos_of(std::uint64_t tenant) const {
@@ -202,14 +203,14 @@ class TransferScheduler {
   using EventSet = std::set<Event>;
   struct Entry {
     TransferRecord rec;
-    /// The payload, released at commit.
+    /// The payload, moved into the level's sink at commit.
     Bytes data;
     /// Destination (levels_ nodes never move).
     Level* level = nullptr;
     /// Position in events_ while pending or in flight.
     std::optional<EventSet::iterator> event;
-    /// Size-only transfer (submit_sized): payload is synthetic zeros
-    /// staged from the scheduler's scratch buffer, `data` stays empty.
+    /// Size-only transfer (submit_sized): `data` stays empty and the
+    /// commit publishes nothing.
     bool synthetic = false;
     double ready_at = 0.0;  // earliest start of the next chunk attempt
     // One in-flight chunk attempt (outcome fixed at start time).
@@ -218,7 +219,6 @@ class TransferScheduler {
     double attempt_end = 0.0;
     bool attempt_acked = false;
     std::uint64_t attempt_bytes = 0;
-    std::uint64_t attempt_delivered = 0;
     // Causal attribution (annotate()): where this transfer's latency went,
     // accumulated as it runs, flushed to the chain when it closes.
     std::uint64_t causal_id = 0;
@@ -285,9 +285,6 @@ class TransferScheduler {
   /// Scratch list of entries to act on in id order: one instant's due
   /// transfers (collect_due) or one level's runnable ones (interrupt_level).
   std::vector<Entry*> due_;
-  /// Zero-filled staging source for synthetic (size-only) transfers; grows
-  /// to the largest chunk ever staged and is shared by every such drain.
-  Bytes scratch_;
   /// Counters of discarded transfers, folded into stats().
   Stats discarded_stats_;
 };

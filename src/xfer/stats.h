@@ -14,7 +14,7 @@ struct Stats {
   std::uint64_t chunks_sent = 0;     // attempts that were acked
   std::uint64_t chunks_failed = 0;   // dropped / partial / timed-out attempts
   std::uint64_t retries = 0;         // re-sends after a failed attempt
-  std::uint64_t bytes_acked = 0;     // payload bytes confirmed at the sink
+  std::uint64_t bytes_acked = 0;     // payload bytes acked by the far side
   std::uint64_t bytes_wasted = 0;    // bytes sent in failed attempts
   double wire_seconds = 0.0;         // virtual time attempts held the wire
   double backoff_seconds = 0.0;      // virtual time spent backing off

@@ -9,12 +9,12 @@
 //      └───── resume ──── kInterrupted (resumable partial)
 //                                 └── retry cap exhausted ─▶ kAborted
 //
-// While pending/in-flight/interrupted the object exists only in the level's
-// staging area (a ChunkSink), never in the visible store: commit is atomic,
-// so a failure between any two chunks can leave at most a resumable
-// partial, never a torn visible object. An interrupted transfer keeps its
-// acked byte count; resuming re-drains from the last acked chunk with a
-// fresh per-chunk retry budget.
+// Until its last chunk acks, the object exists only as the payload the
+// scheduler holds: commit hands it whole to the level's ObjectSink, so a
+// failure between any two chunks can leave at most a resumable partial,
+// never a torn visible object. An interrupted transfer keeps its acked
+// byte count; resuming re-drains from the last acked chunk with a fresh
+// per-chunk retry budget.
 #pragma once
 
 #include <cstdint>
@@ -105,25 +105,14 @@ class TransferError : public CheckError {
   std::uint64_t chunk_offset_;
 };
 
-/// Staging destination for one level: chunks land at explicit offsets
-/// (idempotent — a retry after a partial write overwrites the garbage),
-/// and the object becomes visible only on commit.
-class ChunkSink {
+/// Publication destination for one level: receives each payload drain's
+/// object whole, once its last chunk has acked.
+class ObjectSink {
  public:
-  virtual ~ChunkSink() = default;
+  virtual ~ObjectSink() = default;
 
-  /// Writes `chunk` at `offset` of the staged object `key`, whose
-  /// complete size is `total_bytes` (so a sink can size its buffer once).
-  /// May be called repeatedly for the same offset (retry after partial
-  /// delivery).
-  virtual void stage(const std::string& key, std::uint64_t offset,
-                     ByteSpan chunk, std::uint64_t total_bytes) = 0;
-  /// Bytes currently staged for `key` (0 if no partial exists).
-  virtual std::uint64_t staged_bytes(const std::string& key) const = 0;
-  /// Atomically publishes the staged object and clears the partial.
-  virtual void commit(const std::string& key) = 0;
-  /// Drops the staged partial without publishing.
-  virtual void discard(const std::string& key) = 0;
+  /// Publishes the complete object `key`.
+  virtual void commit(const std::string& key, Bytes object) = 0;
 };
 
 /// Observable state of one transfer (scheduler-owned).
@@ -136,7 +125,7 @@ struct TransferRecord {
   std::uint64_t tenant = 0;
   TransferState state = TransferState::kPending;
   std::uint64_t total_bytes = 0;
-  /// Resume point: bytes confirmed at the sink (whole chunks only).
+  /// Resume point: bytes the far side has acked (whole chunks only).
   std::uint64_t acked_bytes = 0;
   /// Attempts spent on the chunk currently at acked_bytes.
   int chunk_attempts = 0;

@@ -16,8 +16,8 @@
 #include "obs/causal.h"
 #include "obs/telemetry.h"
 #include "obs/trace.h"
-#include "storage/staged_sink.h"
 #include "storage/storage.h"
+#include "storage/target_sink.h"
 #include "xfer/channel.h"
 #include "xfer/scheduler.h"
 
@@ -135,7 +135,7 @@ aic::Bytes pattern_bytes(std::size_t n, std::uint64_t seed) {
 struct XferHarness {
   aic::obs::Hub hub;
   aic::storage::RemoteStore target{1.0e9};
-  aic::storage::StagedTargetSink sink{target};
+  aic::storage::TargetSink sink{target};
   aic::xfer::TransferScheduler sched;
 
   explicit XferHarness(aic::xfer::TransferScheduler::Config cfg = {},

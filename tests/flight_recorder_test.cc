@@ -16,8 +16,8 @@
 #include "obs/names.h"
 #include "obs/trace.h"
 #include "sim/failure_sim.h"
-#include "storage/staged_sink.h"
 #include "storage/storage.h"
+#include "storage/target_sink.h"
 #include "xfer/scheduler.h"
 
 namespace aic::obs {
@@ -125,7 +125,7 @@ TEST(FlightRecorder, MidDrainAbortLeavesParseablePostmortem) {
   hub.enable_flight_recorder(64, path);
 
   storage::RemoteStore target(1e12);
-  storage::StagedTargetSink sink(target);
+  storage::TargetSink sink(target);
   xfer::TransferScheduler::Config cfg;
   cfg.chunk_bytes = 100;
   cfg.retry.max_attempts_per_chunk = 2;

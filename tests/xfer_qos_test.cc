@@ -13,7 +13,7 @@
 
 #include "common/rng.h"
 #include "storage/multilevel_store.h"
-#include "storage/staged_sink.h"
+#include "storage/target_sink.h"
 #include "xfer/channel.h"
 #include "xfer/scheduler.h"
 
@@ -29,7 +29,7 @@ Bytes pattern_bytes(std::size_t n, std::uint64_t seed) {
 
 struct Harness {
   storage::RemoteStore target{1.0e9};  // publication put is not the wire
-  storage::StagedTargetSink sink{target};
+  storage::TargetSink sink{target};
   TransferScheduler sched;
 
   explicit Harness(TransferScheduler::Config cfg = {},

@@ -1,6 +1,6 @@
 // Tests for the xfer transfer engine: chunk pricing and fault semantics on
 // the simulated Channel, the TransferScheduler's state machine (retry with
-// capped exponential backoff, typed aborts, atomic staging commits,
+// capped exponential backoff, typed aborts, publication at commit,
 // interrupt/resume), emergent bandwidth sharing, and the end-to-end
 // torn-object guarantee through MultiLevelStore — a failure between any
 // two chunks leaves recover() seeing only committed checkpoints, and the
@@ -10,7 +10,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -22,7 +21,7 @@
 #include "obs/trace.h"
 #include "storage/async_checkpointer.h"
 #include "storage/multilevel_store.h"
-#include "storage/staged_sink.h"
+#include "storage/target_sink.h"
 #include "verify/chain_verifier.h"
 #include "xfer/channel.h"
 #include "xfer/scheduler.h"
@@ -87,7 +86,7 @@ TEST(XferChannel, ScriptedFaultsApplyInFifoOrder) {
 // A scheduler + remote-store sink harness used by most scheduler tests.
 struct Harness {
   storage::RemoteStore target{1.0e9};  // publication put is not the wire
-  storage::StagedTargetSink sink{target};
+  storage::TargetSink sink{target};
   TransferScheduler sched;
 
   explicit Harness(TransferScheduler::Config cfg = {},
@@ -104,18 +103,17 @@ TEST(XferScheduler, CommitIsAtomicAndByteIdentical) {
   const Bytes data = pattern_bytes(950, 42);
   const TransferId id = h.sched.submit(3, "obj", data);
 
-  // Mid-drain: staged bytes accumulate, nothing visible in the target.
+  // Mid-drain: acked bytes accumulate, nothing visible in the target.
   h.sched.run_until(0.35);  // 3 chunks of 100 B at 1 kB/s
   EXPECT_EQ(h.sched.record(id).acked_bytes, 300u);
-  EXPECT_GT(h.sink.staged_bytes("obj"), 0u);
   EXPECT_FALSE(h.target.get("obj").has_value())
-      << "staged partials must be invisible";
+      << "a drain in progress must be invisible";
 
   h.sched.run_until_idle();
   const TransferRecord& rec = h.sched.record(id);
   EXPECT_EQ(rec.state, TransferState::kCommitted);
   EXPECT_DOUBLE_EQ(rec.commit_time, 0.95);
-  EXPECT_EQ(h.sink.partial_count(), 0u) << "commit clears staging";
+  EXPECT_EQ(rec.acked_bytes, 950u) << "commit follows the last ack";
   auto landed = h.target.get("obj");
   ASSERT_TRUE(landed.has_value());
   EXPECT_EQ(*landed, data);
@@ -187,7 +185,7 @@ TEST(XferScheduler, ExhaustedRetryBudgetAbortsWithTypedError) {
   const TransferRecord& rec = h.sched.record(id);
   ASSERT_EQ(rec.state, TransferState::kAborted);
   EXPECT_EQ(rec.acked_bytes, 200u);
-  EXPECT_EQ(h.sink.partial_count(), 0u) << "abort discards the partial";
+  EXPECT_EQ(h.sched.runnable_count(), 0u) << "an abort leaves nothing queued";
   EXPECT_FALSE(h.target.get("doomed").has_value());
 
   try {
@@ -293,7 +291,7 @@ TEST(XferScheduler, InterruptKeepsAckedBytesAndResumeFinishes) {
 
 TEST(XferScheduler, DuplicateLiveKeyIsRejected) {
   storage::RemoteStore raid(1.0e9);
-  storage::StagedTargetSink raid_sink(raid);
+  storage::TargetSink raid_sink(raid);
   Harness h;
   h.sched.add_level(2, {1000.0, 0.0}, &raid_sink);
 
@@ -328,30 +326,9 @@ TEST(XferScheduler, DuplicateLiveKeyIsRejected) {
   EXPECT_EQ(h.sched.runnable_count(), 3u);
 }
 
-/// Tracks staged sizes in a map: one node per live object, like the
-/// fleet's counting sink.
-class SizeSink final : public ChunkSink {
- public:
-  void stage(const std::string& key, std::uint64_t offset, ByteSpan chunk,
-             std::uint64_t /*total_bytes*/) override {
-    auto& staged = staged_[key];
-    staged = std::max(staged, offset + chunk.size());
-  }
-  std::uint64_t staged_bytes(const std::string& key) const override {
-    const auto it = staged_.find(key);
-    return it == staged_.end() ? 0 : it->second;
-  }
-  void commit(const std::string& key) override { staged_.erase(key); }
-  void discard(const std::string& key) override { staged_.erase(key); }
-
- private:
-  std::map<std::string, std::uint64_t> staged_;
-};
-
 TEST(XferScheduler, SteadySizedDrainCycleReusesItsNodes) {
-  SizeSink sink;
   TransferScheduler sched;
-  sched.add_level(3, {1.0e9, 0.0}, &sink);
+  sched.add_level(3, {1.0e9, 0.0}, nullptr);
   // A fleet round in miniature: submit a batch of checkpoints, drain them,
   // then discard them all once they have committed.
   constexpr std::size_t kBatch = 4;
@@ -369,7 +346,7 @@ TEST(XferScheduler, SteadySizedDrainCycleReusesItsNodes) {
       sched.discard(id);
     }
   };
-  round(0);  // warm-up: the lane, the staging scratch and the spare lists
+  round(0);  // warm-up: the lane and the spare lists
   round(1);
   // The heap counters are process-wide, so the work stays on this thread.
   constexpr std::uint64_t kRounds = 8;
@@ -377,9 +354,9 @@ TEST(XferScheduler, SteadySizedDrainCycleReusesItsNodes) {
   for (std::uint64_t r = 2; r < 2 + kRounds; ++r) round(r);
   const std::uint64_t allocations =
       testing::heap_stats().allocations - before.allocations;
-  // Per transfer: the event-set node and the sink's own node. The entry
-  // and key nodes come back from the discards of the round before.
-  EXPECT_LE(allocations, kRounds * (1 + 2 * kBatch))
+  // Per transfer: the event-set node. The entry and key nodes come back
+  // from the discards of the round before.
+  EXPECT_LE(allocations, kRounds * (1 + kBatch))
       << "one more per round for the id list";
 }
 
@@ -412,7 +389,7 @@ TEST(XferScheduler, TimelineIsPinned) {
   cfg.retry.chunk_timeout_s = 0.5;
   cfg.obs = &hub;
   storage::RemoteStore raid(1.0e9), remote(1.0e9);
-  storage::StagedTargetSink raid_sink(raid), remote_sink(remote);
+  storage::TargetSink raid_sink(raid), remote_sink(remote);
   TransferScheduler sched(cfg);
   sched.add_level(2, {8000.0, 0.001}, &raid_sink);
   sched.add_level(3, {16000.0, 0.002}, &remote_sink);
@@ -529,6 +506,103 @@ TEST(XferScheduler, TimelineIsPinned) {
   EXPECT_EQ(h.value(), 0x5f88179ab4c4e1bbull) << std::hex << h.value();
 }
 
+// ---- publication at commit ----
+
+// A size-only drain runs exactly like a payload drain of the same size:
+// level 2 publishes payloads into a target, level 3 has no sink and takes
+// size-only drains, and the same scripted drop, partial write and
+// interrupt/resume on both give the same records, stats and trace.
+TEST(XferScheduler, SizeOnlyDrainRunsLikeAPayloadDrain) {
+  obs::Hub hub(1 << 12);
+  TransferScheduler::Config cfg;
+  cfg.chunk_bytes = 100;
+  cfg.obs = &hub;
+  storage::RemoteStore target(1.0e9);
+  storage::TargetSink sink(target);
+  TransferScheduler sched(cfg);
+  sched.add_level(2, {1000.0, 0.001}, &sink);
+  sched.add_level(3, {1000.0, 0.001}, nullptr);
+  for (const int level : {2, 3}) {
+    sched.channel(level).inject({FaultKind::kDrop, 0.0, 0.0});
+    sched.channel(level).inject({FaultKind::kPartialWrite, 0.0, 0.4});
+  }
+
+  const std::uint64_t sizes[] = {450, 230, 610};
+  std::vector<Bytes> payloads;
+  std::vector<TransferId> published, sized;
+  for (std::size_t i = 0; i < 3; ++i) {
+    const std::string key = "obj" + std::to_string(i);
+    payloads.push_back(pattern_bytes(sizes[i], i));
+    published.push_back(sched.submit(2, key, payloads.back()));
+    sized.push_back(sched.submit_sized(3, key, sizes[i]));
+  }
+  sched.run_until(0.5);
+  EXPECT_EQ(sched.interrupt_level(2), 3u);
+  EXPECT_EQ(sched.interrupt_level(3), 3u);
+  sched.run_until(0.8);
+  EXPECT_EQ(sched.resume_level(2), 3u);
+  EXPECT_EQ(sched.resume_level(3), 3u);
+  sched.run_until_idle();
+
+  // Every record field but the id and the level.
+  auto fingerprint = [&sched](TransferId id) {
+    const TransferRecord& r = sched.record(id);
+    testing::Fnv1a h;
+    h.str(r.key);
+    h.u64(r.tenant);
+    h.u64(std::uint64_t(r.state));
+    h.u64(r.total_bytes);
+    h.u64(r.acked_bytes);
+    h.u64(std::uint64_t(r.chunk_attempts));
+    h.f64(r.submit_time);
+    h.f64(r.commit_time);
+    for (const double b : r.backoff_history) h.f64(b);
+    hash_stats(h, r.stats);
+    h.str(r.error);
+    return h.value();
+  };
+  Stats per_level[2];
+  for (std::size_t i = 0; i < 3; ++i) {
+    SCOPED_TRACE("obj" + std::to_string(i));
+    EXPECT_EQ(sched.record(published[i]).state, TransferState::kCommitted);
+    EXPECT_EQ(fingerprint(published[i]), fingerprint(sized[i]));
+    EXPECT_EQ(target.get("obj" + std::to_string(i)), payloads[i]);
+    per_level[0] += sched.record(published[i]).stats;
+    per_level[1] += sched.record(sized[i]).stats;
+  }
+  testing::Fnv1a s2, s3;
+  hash_stats(s2, per_level[0]);
+  hash_stats(s3, per_level[1]);
+  EXPECT_EQ(s2.value(), s3.value());
+  EXPECT_EQ(per_level[1].retries, 2u) << "the drop and the partial write";
+  EXPECT_EQ(per_level[1].transfers_interrupted, 3u);
+
+  testing::Fnv1a t2, t3;
+  std::size_t events[2] = {0, 0};
+  for (const obs::TraceEvent& e : hub.trace.snapshot()) {
+    if (e.domain != obs::TimeDomain::kVirtual) continue;
+    ASSERT_TRUE(e.track == 2 || e.track == 3);
+    testing::Fnv1a& h = e.track == 2 ? t2 : t3;
+    ++events[e.track - 2];
+    h.str(e.name);
+    h.f64(e.start);
+    h.f64(e.duration);
+    for (std::size_t i = 0; i < e.arg_count; ++i) {
+      h.str(e.args[i].key);
+      h.f64(e.args[i].value);
+    }
+  }
+  EXPECT_GT(events[0], 0u);
+  EXPECT_EQ(events[0], events[1]);
+  EXPECT_EQ(t2.value(), t3.value());
+
+  // A level without a sink takes no payload, and the rejected submit
+  // leaves its key free.
+  EXPECT_THROW(sched.submit(3, "late", pattern_bytes(10, 9)), CheckError);
+  EXPECT_EQ(sched.runnable_count(), 0u);
+  EXPECT_NO_THROW(sched.submit_sized(3, "late", 10));
+}
+
 // ---- end-to-end torn-object guarantee through MultiLevelStore ----
 
 storage::MultiLevelConfig tiny_store_config() {
@@ -626,7 +700,7 @@ TEST(XferTornObject, StagedPartialInvisibleToEveryLevel) {
   (void)store.put_checkpoint_async(files[0]);
   store.xfer().run_until(1.5);  // L3 mid-drain (L2 may have landed)
 
-  EXPECT_GT(store.remote_staging().partial_count(), 0u);
+  EXPECT_GT(store.unfinished_drains(), 0u);
   EXPECT_FALSE(store.remote().get("ckpt-0").has_value());
   // Local landed synchronously; the recover answer is the local copy, and
   // it never includes an uncommitted partial from another level.
@@ -634,7 +708,7 @@ TEST(XferTornObject, StagedPartialInvisibleToEveryLevel) {
   ASSERT_TRUE(rec.has_value());
   EXPECT_EQ(rec->level_used, 1);
   store.xfer().run_until_idle();
-  EXPECT_EQ(store.remote_staging().partial_count(), 0u);
+  EXPECT_EQ(store.unfinished_drains(), 0u);
   EXPECT_TRUE(store.remote().get("ckpt-0").has_value());
 }
 
