@@ -139,7 +139,9 @@ run_asan_ubsan() {
   log=$(mktemp)
   if cmake -B build-asan -S . -DAIC_SANITIZE=address,undefined >/dev/null &&
     cmake --build build-asan -j"$jobs" \
-      --target aic_tests aic_fsck aic_report aic_benchdiff aic_lint aic_top &&
+      --target aic_tests aic_fsck aic_report aic_benchdiff aic_lint aic_top \
+      example_quickstart example_multilevel_storage \
+      example_failure_injection &&
     ctest --test-dir build-asan --output-on-failure -j"$jobs" | tee "$log" &&
     lint_fixtures_sanitized &&
     aic_top_sanitized; then
