@@ -1,6 +1,5 @@
 #include "xfer/channel.h"
 
-#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -28,16 +27,6 @@ void Channel::set_drop_probability(double p, std::uint64_t seed) {
   rng_ = Rng(seed);
 }
 
-void Channel::close_stream() {
-  AIC_CHECK_MSG(active_streams_ > 0, "close_stream with no open stream");
-  --active_streams_;
-}
-
-Channel::SendOutcome Channel::send(std::uint64_t bytes) {
-  const std::size_t share = std::max<std::size_t>(active_streams_, 1);
-  return send(bytes, config_.bandwidth_bps / double(share));
-}
-
 Channel::SendOutcome Channel::send(std::uint64_t bytes,
                                    double bandwidth_bps) {
   AIC_CHECK_MSG(std::isfinite(bandwidth_bps) && bandwidth_bps >= 0.0,
@@ -58,7 +47,7 @@ Channel::SendOutcome Channel::send(std::uint64_t bytes,
       AIC_CHECK(fault.stall_seconds >= 0.0);
       // Delivery eventually succeeds, late; the scheduler's chunk timeout
       // decides whether the sender was still listening.
-      return SendOutcome{true, base + fault.stall_seconds, bytes};
+      return SendOutcome{true, base + fault.stall_seconds};
     }
     if (fault.kind == FaultKind::kPartialWrite) {
       AIC_CHECK(fault.deliver_fraction >= 0.0 && fault.deliver_fraction < 1.0);
@@ -66,17 +55,16 @@ Channel::SendOutcome Channel::send(std::uint64_t bytes,
           std::uint64_t(double(bytes) * fault.deliver_fraction);
       const double frac = bytes > 0 ? double(delivered) / double(bytes) : 0.0;
       return SendOutcome{
-          false, config_.latency_s + frac * (base - config_.latency_s),
-          delivered};
+          false, config_.latency_s + frac * (base - config_.latency_s)};
     }
     // kDrop: the chunk is lost in flight — full wire time wasted, nothing
     // lands.
-    return SendOutcome{false, base, 0};
+    return SendOutcome{false, base};
   }
   if (drop_probability_ > 0.0 && rng_.bernoulli(drop_probability_)) {
-    return SendOutcome{false, base, 0};
+    return SendOutcome{false, base};
   }
-  return SendOutcome{true, base, bytes};
+  return SendOutcome{true, base};
 }
 
 }  // namespace aic::xfer

@@ -2,15 +2,17 @@
 //
 // A Channel models one link between the checkpointing core and a storage
 // level (L2 partner group or L3 remote store): configurable bandwidth and
-// per-message latency, fair bandwidth sharing between concurrent streams,
-// and injectable faults. All time is virtual; a send() returns how long the
-// attempt took, the caller (TransferScheduler) owns the clock.
+// per-message latency, and injectable faults. All time is virtual; a
+// send() returns how long the attempt took, the caller (TransferScheduler)
+// owns the clock.
 //
-// Bandwidth sharing — the Fig. 7 SF mechanism, made emergent: each send
-// attempt is charged at bandwidth / active_streams() as of the moment the
-// attempt starts. N equal concurrent drains therefore interleave chunk by
-// chunk and each observes ~1/N of the channel's goodput, instead of the
-// sharing factor being assumed by a model parameter.
+// Bandwidth sharing — the Fig. 7 SF mechanism, made emergent: the
+// scheduler prices each send attempt at the stream's share of the channel
+// as of the moment the attempt starts (with default QoS, bandwidth over
+// the attempts on the wire). N equal concurrent drains therefore
+// interleave chunk by chunk and each observes ~1/N of the channel's
+// goodput, instead of the sharing factor being assumed by a model
+// parameter.
 //
 // Faults are deterministic and scripted (a FIFO applied to upcoming sends)
 // or probabilistic from a seeded RNG:
@@ -60,35 +62,21 @@ class Channel {
   /// when no scripted fault is pending).
   void set_drop_probability(double p, std::uint64_t seed);
 
-  /// Stream accounting for bandwidth sharing; the scheduler opens a stream
-  /// for the duration of each chunk attempt.
-  void open_stream() { ++active_streams_; }
-  void close_stream();
-  std::size_t active_streams() const { return active_streams_; }
-
   struct SendOutcome {
     bool acked = false;
     /// Virtual seconds the attempt occupied (as seen by the sender).
     double seconds = 0.0;
-    /// Bytes that physically reached the far side (≤ requested; may be
-    /// nonzero on a failed partial write).
-    std::uint64_t bytes_delivered = 0;
   };
 
-  /// One chunk-send attempt at the current sharing factor. The caller must
-  /// have opened a stream for this attempt.
-  SendOutcome send(std::uint64_t bytes);
-
-  /// One chunk-send attempt at an explicitly priced per-stream bandwidth —
-  /// the QoS path: the TransferScheduler computes each stream's share from
-  /// tenant reservations and weights and passes it here. Fault injection
-  /// applies identically. A zero bandwidth yields an attempt of infinite
-  /// duration (a starved stream), never a division fault.
+  /// One chunk-send attempt at a per-stream bandwidth the caller priced:
+  /// the TransferScheduler computes each stream's share from tenant
+  /// reservations and weights and passes it here. A zero bandwidth yields
+  /// an attempt of infinite duration (a starved stream), never a division
+  /// fault.
   SendOutcome send(std::uint64_t bytes, double bandwidth_bps);
 
  private:
   Config config_;
-  std::size_t active_streams_ = 0;
   std::deque<Fault> scripted_;
   double drop_probability_ = 0.0;
   Rng rng_;
