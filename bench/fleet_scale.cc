@@ -33,8 +33,9 @@ namespace {
 constexpr double kPerJobBps = 2.0e7;
 
 // Wall time is a tracked metric at the 10k-job point: it repeats kWallReps
-// times so aic_benchdiff's bootstrap gates a distribution, not one sample.
-// The wall of building that point's job mix is tracked there too.
+// times so aic_benchdiff's bootstrap gates a distribution, not one sample,
+// and each run's wall is split into the fleet's round phases. The wall of
+// building that point's job mix is tracked there too.
 // Smaller points finish in milliseconds, too short to gate. The 100k point
 // only runs in the full sweep, once: its wall over the 10k median is the
 // control plane's scaling ratio (linear scaling reads 10x).
@@ -93,6 +94,7 @@ fleet::QosPolicy fleet_policy(double bandwidth_bps) {
 struct ScaleResult {
   std::size_t jobs = 0;
   double wall_s = 0.0;
+  fleet::FleetScheduler::PhaseWall phases;
   fleet::FleetReport report;
 };
 
@@ -105,6 +107,7 @@ ScaleResult run_scale(const Mix& mix, int shards) {
   ScaleResult r;
   r.jobs = mix.jobs.size();
   r.wall_s = obs::wall_seconds_since(t0);
+  r.phases = fleet.phase_wall();
   r.report = fleet.report();
   return r;
 }
@@ -190,13 +193,22 @@ int main() {
     const std::string tag = "fleet.jobs" + std::to_string(jobs);
     if (jobs == kWallSampledJobs) {
       session.sample(tag + ".mix_s", "s", mix.build_s);
-      std::vector<double> walls{r.wall_s};
-      for (int i = 1; i < kWallReps; ++i) {
-        walls.push_back(run_scale(mix, 1).wall_s);
+      std::vector<ScaleResult> reps{r};
+      for (int i = 1; i < kWallReps; ++i) reps.push_back(run_scale(mix, 1));
+      for (const ScaleResult& rep : reps) {
+        session.sample(tag + ".wall_s", "s", rep.wall_s);
+        const fleet::FleetScheduler::PhaseWall& p = rep.phases;
+        session.sample(tag + ".admission_s", "s", p.admission_s);
+        session.sample(tag + ".shards_s", "s", p.shards_s);
+        session.sample(tag + ".merge_s", "s", p.merge_s);
+        session.sample(tag + ".apply_s", "s", p.apply_s);
+        session.sample(tag + ".boundary_s", "s", p.boundary_s);
       }
-      for (const double w : walls) session.sample(tag + ".wall_s", "s", w);
-      std::sort(walls.begin(), walls.end());
-      r.wall_s = walls[walls.size() / 2];  // the table shows the median
+      std::sort(reps.begin(), reps.end(),
+                [](const ScaleResult& a, const ScaleResult& b) {
+                  return a.wall_s < b.wall_s;
+                });
+      r = reps[reps.size() / 2];  // the table shows the median run
     } else if (jobs == kScaleRatioJobs) {
       session.sample(tag + ".wall_s", "s", r.wall_s);
     }
@@ -231,7 +243,21 @@ int main() {
   table.print_csv(std::cout);
   double base_wall = 0.0;
   for (const ScaleResult& r : results) {
-    if (r.jobs == kWallSampledJobs) base_wall = r.wall_s;
+    if (r.jobs == kWallSampledJobs) {
+      base_wall = r.wall_s;
+      const fleet::FleetScheduler::PhaseWall& p = r.phases;
+      const double sum =
+          p.admission_s + p.shards_s + p.merge_s + p.apply_s + p.boundary_s;
+      std::cout << "phase wall " << kWallSampledJobs
+                << " jobs (median run): admission "
+                << TextTable::num(p.admission_s, 3) << " s, shards "
+                << TextTable::num(p.shards_s, 3) << " s, merge "
+                << TextTable::num(p.merge_s, 3) << " s, apply "
+                << TextTable::num(p.apply_s, 3) << " s, boundary "
+                << TextTable::num(p.boundary_s, 3) << " s, sum "
+                << TextTable::num(sum / r.wall_s, 3)
+                << " of the wall\n";
+    }
     if (r.jobs == kScaleRatioJobs && base_wall > 0.0) {
       std::cout << "wall ratio " << kScaleRatioJobs << "/" << kWallSampledJobs
                 << " jobs: " << TextTable::num(r.wall_s / base_wall, 1)

@@ -11,6 +11,7 @@
 
 #include "common/check.h"
 #include "common/thread_pool.h"
+#include "obs/clock.h"
 #include "obs/names.h"
 #include "obs/telemetry.h"
 #include "obs/trace.h"
@@ -618,10 +619,18 @@ void FleetScheduler::run() {
   }
   std::vector<std::vector<Action>> shard_actions(shards);
   std::vector<Action> merged;
+  // One clock read per phase: each lap charges the time since the last.
+  std::uint64_t mark = obs::wall_now_ns();
+  auto lap = [&mark](double& phase_s) {
+    const std::uint64_t t = obs::wall_now_ns();
+    phase_s += double(t - mark) * 1e-9;
+    mark = t;
+  };
   while (!finished() && now_ < config_.max_virtual_s) {
     const double t0 = now_;
     const double t1 = t0 + config_.quantum_s;
     admit_arrivals(t1);
+    lap(phase_wall_.admission_s);
 
     for (auto& v : shard_actions) v.clear();
     // Shard s takes every shards-th live job from the s-th on.
@@ -640,6 +649,7 @@ void FleetScheduler::run() {
     }
     std::erase_if(live_jobs_,
                   [this](std::uint32_t slot) { return jobs_[slot].finished; });
+    lap(phase_wall_.shards_s);
 
     merged.clear();
     for (const auto& v : shard_actions) {
@@ -651,11 +661,14 @@ void FleetScheduler::run() {
                 if (a.job != b.job) return a.job < b.job;
                 return a.seq < b.seq;
               });
+    lap(phase_wall_.merge_s);
     apply_actions(merged);
     sched_.run_until(t1);
+    lap(phase_wall_.apply_s);
     boundary(t1);
     round_telemetry(t1);
     now_ = t1;
+    lap(phase_wall_.boundary_s);
   }
   if (config_.obs) export_metrics(report());
 }

@@ -175,6 +175,16 @@ class FleetScheduler {
   /// landed, or rejected).
   bool finished() const;
   std::uint64_t digest() const { return digest_; }
+  /// Host wall time run() spent in each phase of a round, summed over its
+  /// rounds. Only measured: nothing the simulation computes reads it.
+  struct PhaseWall {
+    double admission_s = 0.0;
+    double shards_s = 0.0;  // the shard passes and the live-job sweep
+    double merge_s = 0.0;   // merging and sorting the round's actions
+    double apply_s = 0.0;   // applying them, engine run to the boundary
+    double boundary_s = 0.0;  // settling drains, releases, telemetry
+  };
+  const PhaseWall& phase_wall() const { return phase_wall_; }
   const JobStats& job_stats(std::uint64_t job_id) const;
   const AdmissionController& admission() const { return admission_; }
 
@@ -291,6 +301,7 @@ class FleetScheduler {
   std::size_t next_arrival_ = 0;
   double now_ = 0.0;
   std::uint64_t digest_ = 0xcbf29ce484222325ULL;  // FNV-1a offset basis
+  PhaseWall phase_wall_;
   std::uint64_t queued_offers_ = 0;
   std::uint64_t finished_jobs_ = 0;
   std::uint64_t rejected_jobs_ = 0;

@@ -15,6 +15,7 @@
 #include "fleet/admission.h"
 #include "fleet/fleet_scheduler.h"
 #include "fleet/qos_policy.h"
+#include "obs/clock.h"
 #include "obs/names.h"
 #include "obs/telemetry.h"
 #include "obs/trace.h"
@@ -411,6 +412,22 @@ TEST(FleetScheduler, CompletesAndAccountsPerTenant) {
   EXPECT_GT(
       snap.gauge_or(on::tenant_metric(tenant0, on::kTenantGoodputBps), 0.0),
       0.0);
+}
+
+TEST(FleetScheduler, PhaseWallSplitsTheRunWall) {
+  FleetScheduler fleet(small_fleet_config(1, 5), small_mix(11), QosPolicy{});
+  const std::uint64_t t0 = obs::wall_now_ns();
+  fleet.run();
+  const double wall = obs::wall_seconds_since(t0);
+  const FleetScheduler::PhaseWall& p = fleet.phase_wall();
+  double sum = 0.0;
+  for (const double phase_s :
+       {p.admission_s, p.shards_s, p.merge_s, p.apply_s, p.boundary_s}) {
+    EXPECT_GE(phase_s, 0.0);
+    sum += phase_s;
+  }
+  EXPECT_GT(p.apply_s, 0.0);
+  EXPECT_LE(sum, wall) << "every phase lies inside run()";
 }
 
 TEST(FleetScheduler, ThousandJobDigestIsPinned) {
