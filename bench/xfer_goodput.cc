@@ -2,9 +2,10 @@
 // the chunk level, plus retry pressure on a lossy channel.
 //
 // Part 1 drains N equal checkpoint objects concurrently over one channel
-// and reports each drain's goodput: the engine prices every chunk at
-// bandwidth / active_streams, so per-drain goodput must track B/N (the
-// sharing factor emergent, not assumed) while aggregate goodput stays ~B.
+// and reports each drain's goodput: the engine prices every chunk at the
+// bandwidth split over the attempts on the wire when it starts, so
+// per-drain goodput must track B/N (the sharing factor emergent, not
+// assumed) while aggregate goodput stays ~B.
 //
 // Part 2 repeats a drain over channels with increasing drop probability
 // and reports the xfer::Stats counters (chunks, retries, wasted bytes,
