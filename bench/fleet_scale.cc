@@ -37,8 +37,9 @@ constexpr double kPerJobBps = 2.0e7;
 // and each run's wall is split into the fleet's round phases. The wall of
 // building that point's job mix is tracked there too.
 // Smaller points finish in milliseconds, too short to gate. The 100k point
-// only runs in the full sweep, once: its wall over the 10k median is the
-// control plane's scaling ratio (linear scaling reads 10x).
+// only runs in the full sweep, once, with the same phase split: its wall
+// over the 10k median is the control plane's scaling ratio (linear scaling
+// reads 10x), and its phases show which part of a round grows faster.
 constexpr std::size_t kWallSampledJobs = 10000;
 constexpr int kWallReps = 5;
 constexpr std::size_t kScaleRatioJobs = 100000;
@@ -186,6 +187,16 @@ int main() {
   table.set_header({"jobs", "elapsed (virt s)", "goodput MB/s", "p99 tts s",
                     "NET^2 GB", "failures", "wall s"});
 
+  // A run's wall and its split into the fleet's round phases.
+  const auto sample_wall = [&](const std::string& tag, const ScaleResult& r) {
+    session.sample(tag + ".wall_s", "s", r.wall_s);
+    const fleet::FleetScheduler::PhaseWall& p = r.phases;
+    session.sample(tag + ".admission_s", "s", p.admission_s);
+    session.sample(tag + ".shards_s", "s", p.shards_s);
+    session.sample(tag + ".merge_s", "s", p.merge_s);
+    session.sample(tag + ".apply_s", "s", p.apply_s);
+    session.sample(tag + ".boundary_s", "s", p.boundary_s);
+  };
   std::vector<ScaleResult> results;
   for (const Mix& mix : mixes) {
     const std::size_t jobs = mix.jobs.size();
@@ -195,22 +206,14 @@ int main() {
       session.sample(tag + ".mix_s", "s", mix.build_s);
       std::vector<ScaleResult> reps{r};
       for (int i = 1; i < kWallReps; ++i) reps.push_back(run_scale(mix, 1));
-      for (const ScaleResult& rep : reps) {
-        session.sample(tag + ".wall_s", "s", rep.wall_s);
-        const fleet::FleetScheduler::PhaseWall& p = rep.phases;
-        session.sample(tag + ".admission_s", "s", p.admission_s);
-        session.sample(tag + ".shards_s", "s", p.shards_s);
-        session.sample(tag + ".merge_s", "s", p.merge_s);
-        session.sample(tag + ".apply_s", "s", p.apply_s);
-        session.sample(tag + ".boundary_s", "s", p.boundary_s);
-      }
+      for (const ScaleResult& rep : reps) sample_wall(tag, rep);
       std::sort(reps.begin(), reps.end(),
                 [](const ScaleResult& a, const ScaleResult& b) {
                   return a.wall_s < b.wall_s;
                 });
       r = reps[reps.size() / 2];  // the table shows the median run
     } else if (jobs == kScaleRatioJobs) {
-      session.sample(tag + ".wall_s", "s", r.wall_s);
+      sample_wall(tag, r);
     }
     results.push_back(r);
     const auto& rep = r.report;

@@ -1,7 +1,8 @@
 // Microbenchmarks (google-benchmark): real wall-clock throughput of the
 // delta codecs across page-similarity levels, plus the page-aligned
 // checkpoint compressor end to end, the put path's CRC-32C and RAID-5
-// striping, and the restart path's record parse and chain replay. These
+// striping, the restart path's record parse and chain replay, and the
+// mem layer's halt capture and materialize. These
 // measure the host's actual compressor speed — the experiment harness uses
 // deterministic work units instead, calibrated to the paper's testbed
 // class.
@@ -28,6 +29,7 @@
 #include "delta/xor_delta.h"
 #include "mem/address_space.h"
 #include "mem/snapshot.h"
+#include "obs/clock.h"
 #include "storage/storage.h"
 
 // ---- binary-wide heap accounting for the restore-memory metric ----
@@ -575,8 +577,70 @@ void BM_RestoreGreedy(benchmark::State& state) {
 }
 BENCHMARK(BM_RestoreGreedy)->Arg(64)->Arg(512);
 
+// ---- mem: the halt's tracking and capture, and the restart's materialize
+// Both report wall ns per page over the measured steps only (the snapshot
+// or space each iteration builds is destroyed outside the clock).
+
+mem::AddressSpace random_space(std::size_t pages, Rng& rng) {
+  mem::AddressSpace space;
+  space.allocate_range(0, pages);
+  for (mem::PageId id = 0; id < pages; ++id) {
+    space.mutate(id, [&](std::span<std::uint8_t> b) {
+      for (auto& x : b) x = std::uint8_t(rng());
+    });
+  }
+  return space;
+}
+
+/// One checkpoint halt with every page dirty: protect_all, a write sweep
+/// that faults each page once, dirty_pages + live_pages, capture_pages.
+void BM_HaltCapture(benchmark::State& state) {
+  const std::size_t pages = std::size_t(state.range(0));
+  Rng rng(0x4A17);
+  mem::AddressSpace space = random_space(pages, rng);
+  const Bytes edit = random_bytes(rng, 16);
+  std::uint64_t ns = 0;
+  for (auto _ : state) {
+    const std::uint64_t t0 = obs::wall_now_ns();
+    space.protect_all();
+    for (mem::PageId id = 0; id < pages; ++id)
+      space.write(id, (id * 64) % (kPageSize - edit.size()), edit);
+    const std::vector<mem::PageId> dirty = space.dirty_pages();
+    const std::vector<mem::PageId> live = space.live_pages();
+    const mem::Snapshot snap = mem::Snapshot::capture_pages(space, dirty);
+    ns += obs::wall_now_ns() - t0;
+    benchmark::DoNotOptimize(live.data());
+    benchmark::DoNotOptimize(snap.page_count());
+  }
+  state.counters["ns_per_page"] =
+      double(ns) / double(std::uint64_t(state.iterations()) * pages);
+}
+BENCHMARK(BM_HaltCapture)->Arg(2048);
+
+/// The last step of a restart: a fresh AddressSpace from the image.
+void BM_Materialize(benchmark::State& state) {
+  const std::size_t pages = std::size_t(state.range(0));
+  Rng rng(0x4A18);
+  const mem::Snapshot image = mem::Snapshot::capture(random_space(pages, rng));
+  std::uint64_t ns = 0;
+  for (auto _ : state) {
+    const std::uint64_t t0 = obs::wall_now_ns();
+    const mem::AddressSpace space = image.materialize();
+    ns += obs::wall_now_ns() - t0;
+    benchmark::DoNotOptimize(space.page_count());
+  }
+  state.counters["ns_per_page"] =
+      double(ns) / double(std::uint64_t(state.iterations()) * pages);
+}
+BENCHMARK(BM_Materialize)->Arg(2048);
+
 }  // namespace
 
 int main(int argc, char** argv) {
+  // perfbench's heap policy: freed memory stays mapped, so a benchmark's
+  // repeated operations reuse pages already faulted in and time the code,
+  // not the kernel zeroing pages that glibc trimmed after the last one.
+  mallopt(M_MMAP_THRESHOLD, 32 << 20);
+  mallopt(M_TRIM_THRESHOLD, 1 << 30);
   return aic::bench::run_gbench_main("micro_delta", argc, argv);
 }

@@ -1,31 +1,73 @@
 #include "mem/address_space.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
+#include <utility>
 
 #include "common/check.h"
 
 namespace aic::mem {
 
-AddressSpace::Entry& AddressSpace::insert_page(PageId id) {
-  auto [it, inserted] =
-      pages_.try_emplace(id, Entry{std::make_unique_for_overwrite<PageData>()});
-  AIC_CHECK_MSG(inserted, "double allocation of page " << id);
-  return it->second;
+AddressSpace::Slot* AddressSpace::find(PageId id) {
+  return const_cast<Slot*>(std::as_const(*this).find(id));
+}
+
+const AddressSpace::Slot* AddressSpace::find(PageId id) const {
+  if (index_.empty()) return nullptr;
+  const std::size_t mask = index_.size() - 1;
+  for (std::size_t i = home(id);; i = (i + 1) & mask) {
+    if (index_[i].frame == nullptr) return nullptr;
+    if (index_[i].id == id) return &index_[i];
+  }
+}
+
+void AddressSpace::grow_index(std::size_t pages) {
+  const std::size_t buckets =
+      std::bit_ceil(std::max<std::size_t>(16, 2 * pages));
+  if (index_.size() >= buckets) return;
+  std::vector<Slot> old = std::exchange(index_, std::vector<Slot>(buckets));
+  index_shift_ = 64 - std::countr_zero(buckets);
+  const std::size_t mask = buckets - 1;
+  for (const Slot& s : old) {
+    if (s.frame == nullptr) continue;
+    std::size_t i = home(s.id);
+    while (index_[i].frame != nullptr) i = (i + 1) & mask;
+    index_[i] = s;
+  }
+}
+
+void AddressSpace::reserve(std::size_t pages) {
+  grow_index(pages);
+  frames_.reserve(pages);
+  live_.reserve(pages);
+  dirty_.reserve(pages);
+}
+
+PageData* AddressSpace::insert_page(PageId id) {
+  if (2 * (live_.size() + 1) > index_.size()) grow_index(live_.size() + 1);
+  const std::size_t mask = index_.size() - 1;
+  std::size_t i = home(id);
+  for (; index_[i].frame != nullptr; i = (i + 1) & mask)
+    AIC_CHECK_MSG(index_[i].id != id, "double allocation of page " << id);
+  // A page born in this epoch is dirty but was never armed: no fault.
+  index_[i] = Slot{id, frames_.acquire(), epoch_, dirty_.size()};
+  dirty_.push_back(id);
+  if (live_.empty() || id > live_.back()) {
+    live_.push_back(id);
+  } else {
+    live_.insert(std::lower_bound(live_.begin(), live_.end(), id), id);
+  }
+  return index_[i].frame;
 }
 
 void AddressSpace::allocate(PageId id) {
-  Entry& entry = insert_page(id);
-  std::memset(entry.data->bytes, 0, kPageSize);
-  // A freshly allocated page must appear in the next checkpoint.
-  touch(id, entry);
+  std::memset(insert_page(id)->bytes, 0, kPageSize);
 }
 
 void AddressSpace::allocate(PageId id, ByteSpan bytes) {
   AIC_CHECK(bytes.size() == kPageSize);
-  Entry& entry = insert_page(id);
-  std::memcpy(entry.data->bytes, bytes.data(), kPageSize);
-  touch(id, entry);
+  std::memcpy(insert_page(id)->bytes, bytes.data(), kPageSize);
 }
 
 void AddressSpace::allocate_range(PageId first, std::uint64_t count) {
@@ -33,31 +75,60 @@ void AddressSpace::allocate_range(PageId first, std::uint64_t count) {
 }
 
 void AddressSpace::free_page(PageId id) {
-  AIC_CHECK_MSG(pages_.erase(id) == 1, "freeing unmapped page " << id);
-  dirty_.erase(id);
+  Slot* slot = find(id);
+  AIC_CHECK_MSG(slot != nullptr, "freeing unmapped page " << id);
+  if (slot->stamp == epoch_) {
+    // Dirty: the last dirty id takes this one's place in the list.
+    const PageId last = dirty_.back();
+    dirty_[slot->dirty_at] = last;
+    find(last)->dirty_at = slot->dirty_at;
+    dirty_.pop_back();
+  }
+  frames_.release(slot->frame);
+  live_.erase(std::lower_bound(live_.begin(), live_.end(), id));
+
+  // Backward-shift deletion: a later bucket of the probe run moves into
+  // the hole unless that would put it before its home.
+  const std::size_t mask = index_.size() - 1;
+  std::size_t hole = std::size_t(slot - index_.data());
+  for (std::size_t i = (hole + 1) & mask; index_[i].frame != nullptr;
+       i = (i + 1) & mask) {
+    if (((i - home(index_[i].id)) & mask) >= ((i - hole) & mask)) {
+      index_[hole] = index_[i];
+      hole = i;
+    }
+  }
+  index_[hole] = Slot{};
 }
 
 ByteSpan AddressSpace::page_bytes(PageId id) const {
-  auto it = pages_.find(id);
-  AIC_CHECK_MSG(it != pages_.end(), "reading unmapped page " << id);
-  return ByteSpan(it->second.data->bytes, kPageSize);
+  const Slot* slot = find(id);
+  AIC_CHECK_MSG(slot != nullptr, "reading unmapped page " << id);
+  return ByteSpan(slot->frame->bytes, kPageSize);
 }
 
-void AddressSpace::touch(PageId id, Entry& entry) {
-  if (entry.protected_) {
-    entry.protected_ = false;
+PageData* AddressSpace::touch(Slot& slot) {
+  PageData* frame = slot.frame;
+  if (slot.stamp != epoch_) {
+    // Armed: every page is stamped when allocated, so an older stamp means
+    // the page existed at the last protect_all() and is written first now.
+    const PageId id = slot.id;
+    slot.stamp = epoch_;
+    slot.dirty_at = dirty_.size();
+    dirty_.push_back(id);
     ++fault_count_;
     if (fault_observer_) fault_observer_(id);
   }
-  dirty_.emplace(id, true);
+  return frame;
 }
 
 void AddressSpace::write(PageId id, std::size_t offset, ByteSpan data) {
-  auto it = pages_.find(id);
-  AIC_CHECK_MSG(it != pages_.end(), "writing unmapped page " << id);
-  AIC_CHECK_MSG(offset + data.size() <= kPageSize, "write past page end");
-  touch(id, it->second);
-  std::memcpy(it->second.data->bytes + offset, data.data(), data.size());
+  Slot* slot = find(id);
+  AIC_CHECK_MSG(slot != nullptr, "writing unmapped page " << id);
+  // Two comparisons, not offset + size: that sum wraps near SIZE_MAX.
+  AIC_CHECK_MSG(offset <= kPageSize && data.size() <= kPageSize - offset,
+                "write past page end");
+  std::memcpy(touch(*slot)->bytes + offset, data.data(), data.size());
 }
 
 void AddressSpace::write_page(PageId id, ByteSpan data) {
@@ -67,31 +138,25 @@ void AddressSpace::write_page(PageId id, ByteSpan data) {
 
 void AddressSpace::mutate(
     PageId id, const std::function<void(std::span<std::uint8_t>)>& fn) {
-  auto it = pages_.find(id);
-  AIC_CHECK_MSG(it != pages_.end(), "mutating unmapped page " << id);
-  touch(id, it->second);
-  fn(std::span<std::uint8_t>(it->second.data->bytes, kPageSize));
+  Slot* slot = find(id);
+  AIC_CHECK_MSG(slot != nullptr, "mutating unmapped page " << id);
+  fn(std::span<std::uint8_t>(touch(*slot)->bytes, kPageSize));
 }
 
 void AddressSpace::protect_all() {
-  for (auto& [id, entry] : pages_) entry.protected_ = true;
+  ++epoch_;
   dirty_.clear();
 }
 
 std::vector<PageId> AddressSpace::dirty_pages() const {
-  std::vector<PageId> out;
-  out.reserve(dirty_.size());
-  for (const auto& [id, _] : dirty_) out.push_back(id);
+  std::vector<PageId> out = dirty_;
   std::sort(out.begin(), out.end());
   return out;
 }
 
-std::vector<PageId> AddressSpace::live_pages() const {
-  std::vector<PageId> out;
-  out.reserve(pages_.size());
-  for (const auto& [id, _] : pages_) out.push_back(id);
-  std::sort(out.begin(), out.end());
-  return out;
+bool AddressSpace::is_dirty(PageId id) const {
+  const Slot* slot = find(id);
+  return slot != nullptr && slot->stamp == epoch_;
 }
 
 }  // namespace aic::mem

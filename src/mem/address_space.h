@@ -11,27 +11,25 @@
 // paper describes.
 //
 // Pages are 4 KiB (common/units.h) and sparse: only allocated pages hold
-// backing bytes. Page ids are virtual page numbers.
+// backing bytes. Page ids are virtual page numbers. Frames come from a
+// FrameStore and a page is found through an open-addressed id index, so
+// memory follows the live pages, not the largest id. Protection is by
+// epoch: protect_all() starts a new one in O(1), and a page not touched
+// in the current epoch is armed.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "common/bytes.h"
 #include "common/units.h"
+#include "mem/frame_store.h"
 
 namespace aic::mem {
 
 using PageId = std::uint64_t;
-
-/// Backing bytes of one page.
-struct PageData {
-  std::uint8_t bytes[kPageSize];
-};
 
 /// Called on the first write to a protected page (simulated page fault).
 /// Receives the faulting page id.
@@ -58,16 +56,14 @@ class AddressSpace {
   /// Frees a page; it disappears from subsequent checkpoints.
   void free_page(PageId id);
   /// Makes room for `pages` pages (and as many dirty marks) up front.
-  void reserve(std::size_t pages) {
-    pages_.reserve(pages);
-    dirty_.reserve(pages);
-  }
+  void reserve(std::size_t pages);
 
-  bool contains(PageId id) const { return pages_.contains(id); }
-  std::size_t page_count() const { return pages_.size(); }
-  std::uint64_t footprint_bytes() const { return pages_.size() * kPageSize; }
+  bool contains(PageId id) const { return find(id) != nullptr; }
+  std::size_t page_count() const { return live_.size(); }
+  std::uint64_t footprint_bytes() const { return live_.size() * kPageSize; }
 
-  /// Read-only view of a page's bytes. Page must exist.
+  /// Read-only view of a page's bytes. Page must exist. The view stays
+  /// valid until that page is freed.
   ByteSpan page_bytes(PageId id) const;
 
   /// Writes `data` into the page at `offset`. First write since the last
@@ -83,17 +79,17 @@ class AddressSpace {
   void mutate(PageId id, const std::function<void(std::span<std::uint8_t>)>& fn);
 
   /// Arms write protection on all pages and clears the dirty list; mirrors
-  /// the interval-start mprotect() sweep.
+  /// the interval-start mprotect() sweep. O(1): it starts a new epoch.
   void protect_all();
 
   /// Page ids dirtied (written or allocated) since the last protect_all(),
   /// sorted ascending.
   std::vector<PageId> dirty_pages() const;
   std::size_t dirty_page_count() const { return dirty_.size(); }
-  bool is_dirty(PageId id) const { return dirty_.contains(id); }
+  bool is_dirty(PageId id) const;
 
   /// All live page ids, sorted ascending.
-  std::vector<PageId> live_pages() const;
+  std::vector<PageId> live_pages() const { return live_; }
 
   /// Observer invoked on each simulated page fault (may be empty).
   void set_fault_observer(FaultObserver observer) {
@@ -104,19 +100,38 @@ class AddressSpace {
   std::uint64_t fault_count() const { return fault_count_; }
 
  private:
-  struct Entry {
-    std::unique_ptr<PageData> data;
-    bool protected_ = false;  // armed for fault-on-write
+  /// A bucket of the id index: one live page. An empty bucket has no frame.
+  struct Slot {
+    PageId id = 0;
+    PageData* frame = nullptr;
+    /// The epoch in which the page was allocated or last first-written:
+    /// the page is dirty while this is the current epoch, armed after.
+    std::uint64_t stamp = 0;
+    /// Where the page sits in dirty_ while it is dirty.
+    std::size_t dirty_at = 0;
   };
 
-  /// Inserts an unprotected page with uninitialized bytes; throws on a
-  /// double allocation. The caller fills the bytes and touches the page.
-  Entry& insert_page(PageId id);
-  /// Marks the page dirty, firing the fault observer if it was protected.
-  void touch(PageId id, Entry& entry);
+  Slot* find(PageId id);
+  const Slot* find(PageId id) const;
+  /// Inserts a dirty page with an unfilled frame; throws on a double
+  /// allocation. Returns the frame for the caller to fill.
+  PageData* insert_page(PageId id);
+  /// Marks the page dirty, faulting if it was armed; returns its frame.
+  /// The observer may change the space, so `slot` is dead afterwards.
+  PageData* touch(Slot& slot);
+  std::size_t home(PageId id) const {
+    return std::size_t((id * 0x9E3779B97F4A7C15ull) >> index_shift_);
+  }
+  /// Sizes the index for `pages` live pages at most half full.
+  void grow_index(std::size_t pages);
 
-  std::unordered_map<PageId, Entry> pages_;
-  std::unordered_map<PageId, bool> dirty_;  // used as a set
+  FrameStore frames_;
+  /// Open-addressed id -> page map with linear probing, at most half full.
+  std::vector<Slot> index_;
+  int index_shift_ = 64;  // 64 - log2(index_.size())
+  std::vector<PageId> live_;   // ascending
+  std::vector<PageId> dirty_;  // in first-touch order
+  std::uint64_t epoch_ = 0;
   FaultObserver fault_observer_;
   std::uint64_t fault_count_ = 0;
 };

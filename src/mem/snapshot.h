@@ -6,12 +6,12 @@
 // page bytes, so it stays valid while the live space keeps mutating.
 #pragma once
 
-#include <map>
-#include <memory>
+#include <span>
 #include <vector>
 
 #include "common/bytes.h"
 #include "mem/address_space.h"
+#include "mem/frame_store.h"
 
 namespace aic::mem {
 
@@ -26,10 +26,11 @@ class Snapshot {
   static Snapshot capture_pages(const AddressSpace& space,
                                 const std::vector<PageId>& ids);
 
-  bool contains(PageId id) const { return pages_.contains(id); }
+  bool contains(PageId id) const { return find(id) != nullptr; }
   std::size_t page_count() const { return pages_.size(); }
 
-  /// Page image bytes; page must be present.
+  /// Page image bytes; page must be present. Like every view of a frame,
+  /// it stays valid until that page is erased.
   ByteSpan page_bytes(PageId id) const;
 
   /// Writable view of a page's image, empty when the page is absent — one
@@ -41,7 +42,7 @@ class Snapshot {
   void put_page(PageId id, ByteSpan bytes);
 
   /// Removes a page image if present.
-  void erase_page(PageId id) { pages_.erase(id); }
+  void erase_page(PageId id);
 
   /// Sorted ids of all captured pages.
   std::vector<PageId> page_ids() const;
@@ -57,8 +58,20 @@ class Snapshot {
   bool equals_space(const AddressSpace& space) const;
 
  private:
-  // std::map keeps ids ordered for deterministic iteration/serialization.
-  std::map<PageId, std::unique_ptr<PageData>> pages_;
+  struct Page {
+    PageId id;
+    PageData* frame;
+  };
+
+  /// The page with this id, or nullptr. Const lookups only read: the
+  /// parallel compressor's shards share one Snapshot across threads.
+  const Page* find(PageId id) const;
+
+  /// Ascending ids with their frames: the order of iteration and of every
+  /// payload serialized from a snapshot. Ids arriving in ascending order
+  /// append; an id inserted below the largest shifts the entries above it.
+  std::vector<Page> pages_;
+  FrameStore frames_;
 };
 
 }  // namespace aic::mem

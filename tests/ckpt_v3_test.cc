@@ -8,6 +8,7 @@
 // of a greedy replay, and the duplicate-page rule both decoders share.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstring>
 #include <span>
 #include <string>
@@ -248,10 +249,10 @@ TEST(CheckpointV3, InPlaceRestorePeakHeapAtMostHalfOfOutOfPlace) {
 
 TEST(CheckpointV3, GreedyReplayAllocatesPerPageOnlyForTheFull) {
   // A full of N pages plus one incremental whose N records are all greedy
-  // deltas. The full costs each page its map node and its frame; the
+  // deltas. The full costs one allocation per block of frames, plus the
+  // doublings of the snapshot's id list and block list (log2 N each); the
   // deltas decode into one reused scratch page and are copied into their
-  // frames, so the whole restore stays within 2N allocations plus a few
-  // per file.
+  // frames, so the whole restore stays within that plus a few per file.
   for (const std::size_t n : {std::size_t{64}, std::size_t{512}}) {
     Rng rng(0x38 + n);
     mem::AddressSpace space;
@@ -271,7 +272,9 @@ TEST(CheckpointV3, GreedyReplayAllocatesPerPageOnlyForTheFull) {
     const std::uint64_t allocations =
         aic::testing::heap_stats().allocations - before;
     ASSERT_TRUE(restored.memory.equals_space(space));
-    EXPECT_LE(allocations, 2 * n + 8) << n << " pages";
+    EXPECT_LE(allocations, n / mem::FrameStore::kFramesPerBlock +
+                               2 * std::bit_width(n) + 4)
+        << n << " pages";
   }
 }
 
