@@ -127,6 +127,83 @@ std::uint64_t codec_digest(const XDelta3Config& config) {
   return h.value();
 }
 
+/// Target `kind` of the scan-boundary sweep, `len` bytes long, against
+/// `source`. The shifted copy puts its first match at target offset
+/// len % 10 and, after a gap of 1..9 random bytes, a second one that
+/// starts on a block of the source's second half: with the scan testing
+/// windows pos+1..pos+8 together, these land on every lane of a group,
+/// the first and the last included.
+Bytes scan_target(Rng& rng, int kind, const Bytes& source,
+                  const Bytes& period_bs, const Bytes& period8,
+                  std::size_t bs, std::size_t len) {
+  Bytes out;
+  out.reserve(len);
+  switch (kind) {
+    case 0:  // dense random, unrelated to the source
+      return random_bytes(rng, len);
+    case 1:  // all zero
+      return Bytes(len, 0);
+    case 2:  // period bs, starting at a phase the length picks
+      for (std::size_t i = 0; i < len; ++i)
+        out.push_back(period_bs[(i + len) % bs]);
+      return out;
+    case 3:  // period 8
+      for (std::size_t i = 0; i < len; ++i)
+        out.push_back(period8[(i + len) % 8]);
+      return out;
+    default: {  // shifted copy
+      const std::size_t half = source.size() / 2 / bs * bs;
+      const ByteSpan s(source);
+      out = concat({random_bytes(rng, len % 10), s.first(half),
+                    random_bytes(rng, 1 + len % 9), s.subspan(half)});
+      while (out.size() < len) out.push_back(std::uint8_t(rng()));
+      out.resize(len);
+      return out;
+    }
+  }
+}
+
+/// The greedy coder at one configuration over block-size edges: targets
+/// of bs-1..bs+17 and 4096-9..4096+9 bytes against sources of 0, bs-1,
+/// bs and 4096+17 bytes, in five kinds of content.
+std::uint64_t scan_boundary_digest(const XDelta3Config& config) {
+  const XDelta3Codec codec(config);
+  const std::size_t bs = config.block_size;
+  Rng rng(bs * 131 + config.max_probes);
+  const Bytes period_bs = random_bytes(rng, bs);
+  const Bytes period8 = random_bytes(rng, 8);
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = bs - 1; n <= bs + 17; ++n) lengths.push_back(n);
+  for (std::size_t n = kPageSize - 9; n <= kPageSize + 9; ++n)
+    lengths.push_back(n);
+  testing::Fnv1a h;
+  for (const std::size_t src_len : {std::size_t{0}, bs - 1, bs,
+                                    kPageSize + 17}) {
+    for (int kind = 0; kind < 5; ++kind) {
+      Bytes source;
+      if (kind == 1) source.assign(src_len, 0);
+      for (std::size_t i = 0; kind == 2 && i < src_len; ++i)
+        source.push_back(period_bs[i % bs]);
+      for (std::size_t i = 0; kind == 3 && i < src_len; ++i)
+        source.push_back(period8[i % 8]);
+      if (kind == 0 || kind == 4) source = random_bytes(rng, src_len);
+      for (const std::size_t len : lengths) {
+        const Bytes target =
+            scan_target(rng, kind, source, period_bs, period8, bs, len);
+        CodecStats st;
+        const Bytes delta = codec.encode(source, target, &st);
+        EXPECT_EQ(codec.decode(source, delta), target)
+            << "bs=" << bs << " src=" << src_len << " kind=" << kind
+            << " len=" << len;
+        h.u64(delta.size());
+        h.bytes(delta);
+        fold_stats(h, st);
+      }
+    }
+  }
+  return h.value();
+}
+
 /// One mixed dirty set against a previous checkpoint: unchanged, lightly
 /// and heavily edited, shifted, dense-random, moved and new pages.
 struct MixedDirtySet {
@@ -187,6 +264,27 @@ TEST(XDelta3, EncodingIsPinned) {
   EXPECT_EQ(codec_digest(XDelta3Config{}), 0x60103362715de5f5ull);
   EXPECT_EQ(compressor_digest(/*correcting=*/false), 0xf4644f96e6c3f785ull);
   EXPECT_EQ(compressor_digest(/*correcting=*/true), 0x98bdb2da7e618ad5ull);
+}
+
+TEST(XDelta3, ScanBoundariesArePinned) {
+  // Block sizes on both sides of the multiples of 8 and 16 a vector scan
+  // or digest steps in, and one probe cap of 1 over the all-zero and
+  // periodic sources, where every block shares a digest.
+  const std::uint64_t want[] = {
+      0xd154aebd94341686ull, 0xee2fcfb077598a03ull, 0xa281a9cd43aaad5aull,
+      0x348b259f29e54194ull, 0xb2cd094314ce8b03ull, 0x906daaba0f367e30ull,
+      0xb5dd599b8eb7f99bull, 0x8158e7c1328fb527ull, 0xcdcbecf0136f8a65ull,
+      0x1f388839d3ad8a2full, 0x842c723898f0cf3full};
+  std::size_t i = 0;
+  for (const std::size_t bs : {4, 5, 7, 8, 12, 17, 31, 33, 48, 100}) {
+    EXPECT_EQ(scan_boundary_digest(XDelta3Config{.block_size = bs}),
+              want[i++])
+        << "block_size=" << bs;
+  }
+  EXPECT_EQ(scan_boundary_digest(
+                XDelta3Config{.block_size = 32, .max_probes = 1}),
+            want[i])
+      << "block_size=32 max_probes=1";
 }
 
 }  // namespace
