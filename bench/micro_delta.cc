@@ -139,6 +139,32 @@ void BM_XDelta3Encode(benchmark::State& state) {
 }
 BENCHMARK(BM_XDelta3Encode)->Arg(1)->Arg(10)->Arg(50)->Arg(100);
 
+/// milc's raw fall-back: a dense-random page against an unrelated
+/// previous page under page_config(), so every window misses. The arg is
+/// the target's length: a page times the index build plus the full miss
+/// scan, one block (32 bytes) the index build alone.
+void BM_XDelta3EncodeMiss(benchmark::State& state) {
+  Rng rng(16);
+  const Bytes prev = random_bytes(rng, kPageSize);
+  const Bytes page = random_bytes(rng, std::size_t(state.range(0)));
+  const delta::XDelta3Codec codec(delta::PageAlignedCompressor::page_config());
+  Bytes out;
+  out.reserve(2 * kPageSize);
+  std::uint64_t ns = 0;
+  for (auto _ : state) {
+    const std::uint64_t t0 = obs::wall_now_ns();
+    out.clear();
+    ByteWriter w(out);
+    codec.encode_to(prev, page, w);
+    ns += obs::wall_now_ns() - t0;
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["ns_per_page"] =
+      double(ns) / double(std::uint64_t(state.iterations()));
+}
+BENCHMARK(BM_XDelta3EncodeMiss)->Arg(kPageSize)->Arg(32);
+
 void BM_XDelta3Decode(benchmark::State& state) {
   Rng rng(2);
   const std::size_t size = 256 * kKiB;

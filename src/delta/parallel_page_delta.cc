@@ -1,6 +1,7 @@
 #include "delta/parallel_page_delta.h"
 
 #include <algorithm>
+#include <atomic>
 #include <exception>
 
 #include "common/check.h"
@@ -47,10 +48,12 @@ DeltaResult ParallelPageCompressor::compress(
     const std::vector<DirtyPage>& dirty, const mem::Snapshot& prev) {
   const std::size_t n = dirty.size();
   const std::size_t min_pages = std::max<std::size_t>(config_.min_shard_pages, 1);
-  // One shard per worker unless the set is too small to feed them all.
-  const std::size_t shards =
-      std::min<std::size_t>(workers_, std::max<std::size_t>(n / min_pages, 1));
-  if (shards <= 1) {
+  const std::size_t chunk_count = (n + kChunkPages - 1) / kChunkPages;
+  // One participant per worker unless the set is too small to feed them
+  // all, and never more than there are chunks to claim.
+  const std::size_t participants = std::min<std::size_t>(
+      {workers_, std::max<std::size_t>(n / min_pages, 1), chunk_count});
+  if (participants <= 1) {
     // Serial fast path — still one (track 0) shard span, so a trace of a
     // single-core run shows its compression work like any other.
     if (obs::Hub* hub = config_.obs) {
@@ -68,66 +71,82 @@ DeltaResult ParallelPageCompressor::compress(
   }
 
   if (!pool_) pool_ = std::make_unique<common::ThreadPool>(workers_ - 1);
-  if (shard_buffers_.size() < shards) shard_buffers_.resize(shards);
 
-  // Built once, shared read-only by every shard: move candidates are a
-  // function of `prev` alone, which is what keeps parallel output
+  // Built once, shared read-only by every participant: move candidates
+  // are a function of `prev` alone, which is what keeps parallel output
   // byte-identical to serial in correcting mode. Empty (and free) in
   // greedy mode.
   const MoveIndex moves = serial_.move_index(prev);
 
-  // Contiguous balanced partition: shard s gets [begin(s), begin(s+1)).
-  const std::size_t base = n / shards, rem = n % shards;
-  const auto begin_of = [&](std::size_t s) {
-    return s * base + std::min(s, rem);
-  };
+  // Every chunk buffer is sized here, on the calling thread, for its
+  // pages' largest records: a pool thread never grows one. glibc frees a
+  // block into the arena of the thread that allocated it, so buffers
+  // grown on pool threads would spread the retained memory over their
+  // arenas.
+  if (chunks_.size() < chunk_count) chunks_.resize(chunk_count);
+  for (std::size_t c = 0; c < chunk_count; ++c) {
+    Chunk& chunk = chunks_[c];
+    chunk.records.clear();  // keeps capacity across checkpoints
+    chunk.records.reserve(kChunkPages * kRecordBound);
+    chunk.acc = DeltaResult{};
+    chunk.error = nullptr;
+  }
 
-  std::vector<DeltaResult> accs(shards);
-  std::vector<std::exception_ptr> errors(shards);
-  const auto encode_shard = [&](std::size_t s) {
-    Bytes& buf = shard_buffers_[s];
-    buf.clear();  // keeps capacity: the buffer-pool reuse across checkpoints
-    const std::size_t lo = begin_of(s), hi = begin_of(s + 1);
-    buf.reserve((hi - lo) * (kPageSize + 16));
-    ByteWriter w(buf);
+  // The caller and the pool workers claim chunks in turn from one
+  // counter until none is left, so a worker that starts late or is
+  // descheduled just takes fewer.
+  std::atomic<std::size_t> next_chunk{0};
+  const auto participate = [&](std::size_t track) {
     obs::Hub* hub = config_.obs;
     const double t0 = hub ? hub->trace.wall_seconds() : 0.0;
-    try {
-      for (std::size_t i = lo; i < hi; ++i)
-        serial_.encode_page(dirty[i], prev, moves, w, accs[s]);
-    } catch (...) {
-      errors[s] = std::current_exception();
+    std::size_t pages = 0, bytes_out = 0;
+    for (std::size_t c = next_chunk.fetch_add(1, std::memory_order_relaxed);
+         c < chunk_count;
+         c = next_chunk.fetch_add(1, std::memory_order_relaxed)) {
+      Chunk& chunk = chunks_[c];
+      ByteWriter w(chunk.records);
+      const std::size_t lo = c * kChunkPages;
+      const std::size_t hi = std::min(n, lo + kChunkPages);
+      try {
+        for (std::size_t i = lo; i < hi; ++i)
+          serial_.encode_page(dirty[i], prev, moves, w, chunk.acc);
+      } catch (...) {
+        chunk.error = std::current_exception();
+      }
+      pages += hi - lo;
+      bytes_out += chunk.records.size();
     }
     if (hub != nullptr) {
       hub->trace.span(obs::TimeDomain::kWall, on::kCatDelta, on::kEvShard, t0,
-                      hub->trace.wall_seconds(), std::uint32_t(s),
-                      {{"pages", double(hi - lo)},
-                       {"bytes_out", double(buf.size())}});
-      m_shard_pages_->observe(double(hi - lo));
+                      hub->trace.wall_seconds(), std::uint32_t(track),
+                      {{"pages", double(pages)},
+                       {"bytes_out", double(bytes_out)}});
+      m_shard_pages_->observe(double(pages));
     }
   };
 
-  // Shards 1..S-1 go to the pool; the calling thread (one of the modeled
-  // checkpointing cores) encodes shard 0 itself instead of idling.
-  for (std::size_t s = 1; s < shards; ++s)
-    pool_->run([&encode_shard, s] { encode_shard(s); });
-  encode_shard(0);
+  for (std::size_t t = 1; t < participants; ++t)
+    pool_->run([&participate, t] { participate(t); });
+  participate(0);
   pool_->wait_idle();
-  for (const std::exception_ptr& e : errors)
-    if (e) std::rethrow_exception(e);
+  // A chunk stops at its first failing page, so the lowest chunk with an
+  // error holds the error a serial run would have thrown.
+  for (std::size_t c = 0; c < chunk_count; ++c)
+    if (chunks_[c].error) std::rethrow_exception(chunks_[c].error);
 
-  // Stitch: header + shard streams in page order reproduce the serial
+  // Stitch: the header and the chunks in chunk order reproduce the serial
   // record stream exactly.
   DeltaResult result;
   result.pages_total = n;
   std::size_t total = 10;  // varint header upper bound
-  for (std::size_t s = 0; s < shards; ++s) total += shard_buffers_[s].size();
+  for (std::size_t c = 0; c < chunk_count; ++c)
+    total += chunks_[c].records.size();
   result.payload.reserve(total);
   ByteWriter w(result.payload);
   w.varint(n);
-  for (std::size_t s = 0; s < shards; ++s) {
-    w.raw(shard_buffers_[s]);
-    const DeltaResult& a = accs[s];
+  for (std::size_t c = 0; c < chunk_count; ++c) {
+    w.raw(chunks_[c].records);
+    const DeltaResult& a = chunks_[c].acc;
     result.stats.input_bytes += a.stats.input_bytes;
     result.stats.source_bytes += a.stats.source_bytes;
     result.stats.work_units += a.stats.work_units;
@@ -139,7 +158,7 @@ DeltaResult ParallelPageCompressor::compress(
     result.pages_moved += a.pages_moved;
   }
   result.stats.output_bytes = result.payload.size();
-  record_compress(result, shards);
+  record_compress(result, participants);
   return result;
 }
 

@@ -1,31 +1,39 @@
-// Sharded multi-threaded page-delta compression pipeline.
+// Multi-threaded page-delta compression pipeline.
 //
 // The paper's decider can only pick short work spans when the delta latency
 // dl is small (Section III: dl enters c2/c3 directly), and on a multicore
 // node the serial PageAlignedCompressor leaves every core but one idle in
-// that exact hot path. ParallelPageCompressor partitions the dirty-page
-// list into contiguous shards, encodes each shard on its own thread into a
-// reusable per-shard scratch buffer, merges the per-thread CodecStats, and
-// stitches the shard streams back in page-id order.
+// that exact hot path. ParallelPageCompressor cuts the dirty-page list
+// into chunks of kChunkPages pages; the calling thread and the pool
+// workers claim chunks from one atomic counter until none is left, encode
+// each into its own scratch buffer, and the buffers are stitched back in
+// chunk order. A worker that starts late or is descheduled just takes
+// fewer chunks, instead of holding up a fixed share of the pages.
 //
 // Determinism invariant: the merged payload is byte-identical to
 // PageAlignedCompressor::compress on the same input, for any worker count
-// (the shards reuse PageAlignedCompressor::encode_page, and contiguous
-// shards concatenated in order reproduce the serial record stream). Stats
-// totals are likewise identical — per-page contributions are summed, and
-// uint64 addition is associative. Tests assert both.
+// and any claiming order (chunks reuse PageAlignedCompressor::encode_page
+// over fixed page ranges, and the chunks concatenated in chunk order are
+// the serial record stream). Stats totals are likewise identical —
+// per-page contributions are summed, and uint64 addition is associative
+// and commutative. A failing page rethrows the error of the lowest failing
+// page, as a serial run would. Tests assert all three.
 //
-// Buffer reuse: the per-shard scratch buffers and the thread pool live for
-// the compressor's lifetime, so steady-state checkpoints allocate only
-// codec-internal scratch, not per-page payload buffers. Consequently
+// Buffer reuse: the chunk buffers and the thread pool live for the
+// compressor's lifetime, so steady-state checkpoints allocate only the
+// result payload, not per-page or per-chunk buffers. The calling thread
+// sizes every chunk buffer before dispatch, with room for its pages'
+// largest records, so a pool thread never grows one. Consequently
 // compress() is NOT const and a single instance must not be used from two
 // threads at once (the checkpointing core owns its compressor).
 #pragma once
 
+#include <exception>
 #include <memory>
 #include <vector>
 
 #include "common/thread_pool.h"
+#include "common/units.h"
 #include "delta/page_delta.h"
 
 namespace aic::obs {
@@ -50,11 +58,13 @@ class ParallelPageCompressor {
     /// the paper's "all cores but the application's" checkpointing cores).
     /// 1 encodes inline with no pool at all.
     unsigned workers = 0;
-    /// Dirty sets smaller than workers * this encode inline: shard dispatch
-    /// overhead would dominate a handful of 4 KiB pages.
+    /// Dirty sets smaller than workers * this encode inline: dispatch
+    /// overhead would dominate a handful of 4 KiB pages. Larger sets run
+    /// on min(workers, size / this) threads.
     std::size_t min_shard_pages = 8;
-    /// Optional observability hub: per-shard wall-clock spans and
-    /// bytes-in/out counters. nullptr = disabled.
+    /// Optional observability hub: one wall-clock shard span per
+    /// encoding thread (its pages and bytes out) and bytes-in/out
+    /// counters. nullptr = disabled.
     obs::Hub* obs = nullptr;
   };
 
@@ -62,8 +72,8 @@ class ParallelPageCompressor {
   explicit ParallelPageCompressor(Config config);
 
   /// Same contract as PageAlignedCompressor::compress; output is
-  /// byte-identical to it. Not thread-safe per instance (reuses the shard
-  /// scratch buffers).
+  /// byte-identical to it. Not thread-safe per instance (reuses the chunk
+  /// buffers).
   DeltaResult compress(const std::vector<DirtyPage>& dirty,
                        const mem::Snapshot& prev);
 
@@ -95,10 +105,28 @@ class ParallelPageCompressor {
   obs::Counter* m_shards_ = nullptr;
   obs::Histogram* m_shard_pages_ = nullptr;
   PageAlignedCompressor serial_;
+  /// Pages per claimed chunk: few enough that the last chunks even out
+  /// the threads' finish times, enough that a claim costs nothing next to
+  /// encoding them.
+  static constexpr std::size_t kChunkPages = 4;
+  /// Upper bound on one page's bytes in a chunk buffer, a failed delta
+  /// included before it is truncated. Under page_config() every COPY
+  /// (at most 5 bytes) covers at least a 32-byte block, so a delta of a
+  /// page stays within the page plus 7 bytes of header and op overhead;
+  /// the record adds at most 13 (id, kind and length slot).
+  static constexpr std::size_t kRecordBound = kPageSize + 32;
+
+  /// One chunk's records and accounting, reused across calls.
+  struct Chunk {
+    Bytes records;  // capacity kept across calls
+    DeltaResult acc;
+    std::exception_ptr error;
+  };
+
   /// Created on the first compress() that actually shards, then reused for
   /// every later checkpoint; small simulations never pay the thread spawn.
   std::unique_ptr<common::ThreadPool> pool_;
-  std::vector<Bytes> shard_buffers_;  // scratch, capacity kept across calls
+  std::vector<Chunk> chunks_;
 };
 
 }  // namespace aic::delta

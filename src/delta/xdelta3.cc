@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <bit>
-#include <vector>
 
 #include "common/check.h"
+#include "delta/block_index.h"
 #include "delta/rolling_hash.h"
 
 namespace aic::delta {
@@ -12,85 +12,6 @@ namespace {
 
 constexpr std::uint8_t kOpAdd = 0x00;
 constexpr std::uint8_t kOpCopy = 0x01;
-
-/// Weak-hash index of block-aligned source offsets: a flat open-addressed
-/// table behind a presence bitmap, rebuilt in place for every encode and
-/// kept per thread, so steady-state encoding allocates nothing.
-///
-/// A slot maps a digest to the first block of its chain; next_ links each
-/// block to the next one with the same digest, in ascending offset order —
-/// the order max_probes cuts candidates in. The bitmap holds 64 bits per
-/// block, so a window whose digest no block shares is answered by one bit
-/// test (false positives ≈1/64 fall through to the table).
-class BlockIndex {
- public:
-  static constexpr std::uint32_t kNone = 0xFFFFFFFFu;
-
-  void rebuild(ByteSpan source, std::size_t block_size) {
-    const std::size_t blocks = source.size() / block_size;
-    AIC_CHECK_MSG(blocks < kNone, "source has too many blocks to index");
-    // At least two slots per block keeps linear-probe runs short; the
-    // floor keeps tiny sources from thrashing one cache line.
-    unsigned bits = kMinSlotBits;
-    while ((std::size_t{1} << bits) < 2 * blocks) ++bits;
-    slot_shift_ = 64 - bits;
-    filter_shift_ = 64 - (bits + 5);  // 32 filter bits per slot
-    slots_.assign(std::size_t{1} << bits, Slot{});
-    filter_.assign(std::size_t{1} << (bits - 1), 0);
-    next_.resize(blocks);
-    // Last block first, each pushed onto the head of its chain: every
-    // chain ends up in ascending offset order.
-    for (std::size_t b = blocks; b-- > 0;) {
-      const std::uint32_t weak =
-          RollingHash(source.data() + b * block_size, block_size).digest();
-      const std::uint64_t f = mix(weak) >> filter_shift_;
-      filter_[f >> 6] |= std::uint64_t{1} << (f & 63);
-      Slot& slot = slots_[slot_of(weak)];
-      next_[b] = slot.head;
-      slot = Slot{weak, std::uint32_t(b)};
-    }
-  }
-
-  /// False only if no block has digest `weak`.
-  bool may_contain(std::uint32_t weak) const {
-    const std::uint64_t f = mix(weak) >> filter_shift_;
-    return (filter_[f >> 6] >> (f & 63)) & 1;
-  }
-
-  /// Lowest block with digest `weak`, or kNone.
-  std::uint32_t first(std::uint32_t weak) const {
-    return slots_[slot_of(weak)].head;
-  }
-
-  /// Next block after `block` with the same digest, or kNone.
-  std::uint32_t next(std::uint32_t block) const { return next_[block]; }
-
- private:
-  static constexpr unsigned kMinSlotBits = 6;
-
-  struct Slot {
-    std::uint32_t digest = 0;
-    std::uint32_t head = kNone;  // kNone marks an empty slot
-  };
-
-  static std::uint64_t mix(std::uint32_t weak) {
-    return std::uint64_t(weak) * 0x9E3779B97F4A7C15ull;
-  }
-
-  /// The slot holding `weak`, or the empty slot that ends its probe run.
-  std::size_t slot_of(std::uint32_t weak) const {
-    std::size_t i = mix(weak) >> slot_shift_;
-    while (slots_[i].head != kNone && slots_[i].digest != weak)
-      i = (i + 1) & (slots_.size() - 1);
-    return i;
-  }
-
-  std::vector<Slot> slots_;
-  std::vector<std::uint64_t> filter_;
-  std::vector<std::uint32_t> next_;
-  unsigned slot_shift_ = 0;
-  unsigned filter_shift_ = 0;
-};
 
 /// Bytes at which a[0..) and b[0..) agree, up to `limit`.
 std::size_t common_prefix(const std::uint8_t* a, const std::uint8_t* b,
@@ -174,7 +95,7 @@ void XDelta3Codec::encode_to(ByteSpan source, ByteSpan target, ByteWriter& w,
   std::size_t add_start = 0;  // first target byte not yet covered by any op
 
   if (target.size() >= bs && source.size() >= bs) {
-    thread_local BlockIndex index;
+    thread_local detail::BlockIndex index;
     index.rebuild(source, bs);
     const std::uint8_t* src = source.data();
     const std::uint8_t* tgt = target.data();
@@ -182,19 +103,17 @@ void XDelta3Codec::encode_to(ByteSpan source, ByteSpan target, ByteWriter& w,
     std::size_t pos = 0;  // scan position == rolling window start
     RollingHash rh(tgt, bs);
     for (;;) {
-      // Miss run: a window no source block can match costs one roll and
-      // one filter test, and one work unit like any failed window.
+      // Miss run: a window whose digest no source block has costs one
+      // work unit, like any failed window. The scan stops at the first
+      // window a block has, or at the last.
       const std::size_t run_start = pos;
-      while (pos < last && !index.may_contain(rh.digest())) {
-        rh.roll(tgt[pos], tgt[pos + bs]);
-        ++pos;
-      }
+      pos = detail::scan_misses(index, target, pos, rh);
       st.work_units += pos - run_start;
 
       Match best;
       std::size_t probes = 0;
       for (std::uint32_t b = index.first(rh.digest());
-           b != BlockIndex::kNone && probes < config_.max_probes;
+           b != detail::BlockIndex::kNone && probes < config_.max_probes;
            b = index.next(b), ++probes) {
         const std::size_t cand = std::size_t(b) * bs;
         st.work_units += bs;  // the block confirmation

@@ -3,6 +3,7 @@
 // whole-file checkpoint compressors.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <string>
 #include <utility>
@@ -11,6 +12,7 @@
 #include "common/check.h"
 #include "common/rng.h"
 #include "common/units.h"
+#include "delta/block_index.h"
 #include "delta/correcting.h"
 #include "delta/page_delta.h"
 #include "delta/rolling_hash.h"
@@ -53,6 +55,147 @@ TEST(RollingHash, Fnv1aKnownVector) {
   Bytes a = {'a'};
   EXPECT_EQ(fnv1a64(a), 0xAF63DC4C8601EC8CULL);
   EXPECT_EQ(fnv1a64(ByteSpan{}), 0xCBF29CE484222325ULL);
+}
+
+// ---- the vector and portable paths of the digest and the miss scan ----
+
+/// Block sizes on both sides of the 8- and 16-byte steps the vector code
+/// takes, and the coders' own 32, 64 and 256.
+constexpr std::size_t kEdgeBlockSizes[] = {4,  5,  7,  8,  12, 16, 17, 31,
+                                           32, 33, 48, 64, 100, 256};
+
+/// The vector sums where the build has them, else the portable ones.
+WeakSums vector_sums(const std::uint8_t* data, std::size_t len) {
+#if defined(__SSE2__)
+  return detail::weak_sums_sse2(data, len);
+#else
+  return detail::weak_sums(data, len);
+#endif
+}
+
+std::size_t vector_scan(const detail::BlockIndex& index, ByteSpan target,
+                        std::size_t pos, RollingHash& rh) {
+#if defined(__SSE2__)
+  return detail::scan_misses_sse2(index, target, pos, rh);
+#else
+  return detail::scan_misses(index, target, pos, rh);
+#endif
+}
+
+TEST(WeakSums, VectorEqualsPortableAtEveryOffset) {
+  Rng rng(30);
+  // Bytes(n) allocates exactly n bytes: the last window ends on the
+  // allocation's last byte, so a read past it is a heap overflow.
+  Bytes data(16 + 3 * 256);
+  for (auto& x : data) x = std::uint8_t(rng());
+  for (const std::size_t bs : kEdgeBlockSizes) {
+    for (std::size_t off = 0; off < 16; ++off) {
+      const std::uint8_t* p = data.data() + off;
+      const std::size_t windows = data.size() - off - bs + 1;
+      RollingHash rolled(detail::weak_sums_portable(p, bs), bs);
+      for (std::size_t pos = 0; pos < windows; ++pos) {
+        const WeakSums want = detail::weak_sums_portable(p + pos, bs);
+        const WeakSums got = vector_sums(p + pos, bs);
+        ASSERT_EQ(got.a, want.a) << "bs=" << bs << " off=" << off
+                                 << " pos=" << pos;
+        ASSERT_EQ(got.b, want.b) << "bs=" << bs << " off=" << off
+                                 << " pos=" << pos;
+        ASSERT_EQ(RollingHash(p + pos, bs).digest(), rolled.digest())
+            << "bs=" << bs << " off=" << off << " pos=" << pos;
+        if (pos + 1 < windows) rolled.roll(p[pos], p[pos + bs]);
+      }
+    }
+  }
+}
+
+TEST(WeakSums, VectorWrapsLikePortable) {
+  // All-0xFF windows long enough that b, and the vector code's running
+  // sums, pass 2^32: both paths wrap the same way.
+  for (const std::size_t len : {1, 15, 16, 17, 4095, 4096, 65537, 300000}) {
+    const Bytes ones(std::size_t(len), 0xFF);
+    const WeakSums want = detail::weak_sums_portable(ones.data(), ones.size());
+    const WeakSums got = vector_sums(ones.data(), ones.size());
+    EXPECT_EQ(got.a, want.a) << "len=" << len;
+    EXPECT_EQ(got.b, want.b) << "len=" << len;
+  }
+}
+
+/// Every window a scan stops at, from window 0 to the last, stepping one
+/// window past each stop as the coder does after a failed probe.
+template <typename Scan>
+std::vector<std::size_t> scan_stops(const detail::BlockIndex& index,
+                                    ByteSpan target, std::size_t bs,
+                                    Scan scan) {
+  std::vector<std::size_t> stops;
+  const std::size_t last = target.size() - bs;
+  RollingHash rh(detail::weak_sums_portable(target.data(), bs), bs);
+  for (std::size_t pos = 0;; ++pos) {
+    pos = scan(index, target, pos, rh);
+    stops.push_back(pos);
+    // The digest the scan leaves must be the stop window's own.
+    EXPECT_EQ(rh.digest(), RollingHash(target.data() + pos, bs).digest())
+        << "pos=" << pos;
+    if (pos == last) break;
+    rh.roll(target[pos], target[pos + bs]);
+  }
+  return stops;
+}
+
+TEST(ScanMisses, VectorStopsWherePortableDoes) {
+  Rng rng(31);
+  std::size_t settled = 0;  // filter hits whose digest no block has
+  for (const std::size_t bs : kEdgeBlockSizes) {
+    for (const std::size_t src_len : {3 * bs + 5, kPageSize}) {
+      const Bytes source = random_bytes(rng, src_len);
+      detail::BlockIndex index;
+      index.rebuild(source, bs);
+      for (int kind = 0; kind < 4; ++kind) {
+        // Exactly kPageSize + 3 bytes, as above: the scan's last loads
+        // end on the allocation's last byte.
+        Bytes target(kPageSize + 3);
+        for (auto& x : target) x = std::uint8_t(rng());
+        if (kind == 1) {
+          // Source blocks copied in at every offset mod 8, so stops land
+          // on each lane of an eight-window group.
+          for (std::size_t at = 3, k = 0; at + bs <= target.size();
+               at += 5 * bs + 1 + k % 8, ++k) {
+            const std::size_t b = k % (src_len / bs);
+            std::copy_n(source.begin() + std::ptrdiff_t(b * bs), bs,
+                        target.begin() + std::ptrdiff_t(at));
+          }
+        } else if (kind == 2) {
+          std::fill(target.begin(), target.end(), 0xFF);
+        } else if (kind == 3) {
+          std::fill(target.begin(), target.end(), 0);
+        }
+        const std::vector<std::size_t> want = scan_stops(
+            index, target, bs, detail::scan_misses_portable);
+        const std::vector<std::size_t> got =
+            scan_stops(index, target, bs, vector_scan);
+        ASSERT_EQ(got, want) << "bs=" << bs << " src=" << src_len
+                             << " kind=" << kind;
+        // Each stop but the last window is a window some block has.
+        for (std::size_t i = 0; i + 1 < want.size(); ++i) {
+          ASSERT_TRUE(index.contains(
+              RollingHash(target.data() + want[i], bs).digest()));
+        }
+        for (std::size_t pos = 0; pos + bs <= target.size(); ++pos) {
+          const std::uint32_t d = RollingHash(target.data() + pos, bs).digest();
+          settled += index.may_contain(d) && !index.contains(d);
+        }
+      }
+    }
+  }
+  // The filter's false positives were in the mix the scans agreed on.
+  EXPECT_GT(settled, 0u);
+}
+
+TEST(BlockIndex, PageIndexFitsSixteenKiB) {
+  Rng rng(32);
+  const Bytes page = random_bytes(rng, kPageSize);
+  detail::BlockIndex index;
+  index.rebuild(page, PageAlignedCompressor::page_config().block_size);
+  EXPECT_LE(index.memory_bytes(), 16 * kKiB);
 }
 
 class CodecRoundTrip : public ::testing::TestWithParam<int> {

@@ -1,8 +1,9 @@
 // Tests for the sharded delta-compression pipeline: the common/ThreadPool
 // primitive, the ParallelPageCompressor's determinism invariant (byte-
 // identical payload and identical stats vs the serial compressor at every
-// worker count), the unchanged-page fast path and its record kind across
-// chain restore, and buffer reuse across checkpoints.
+// worker count), chunk claiming (failing pages, warm buffers), the
+// unchanged-page fast path and its record kind across chain restore, and
+// buffer reuse across checkpoints.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -17,6 +18,7 @@
 #include "common/units.h"
 #include "delta/page_delta.h"
 #include "delta/parallel_page_delta.h"
+#include "heap_guard.h"
 #include "mem/address_space.h"
 #include "mem/snapshot.h"
 
@@ -254,6 +256,109 @@ TEST(ParallelPageCompressor, EmptyDirtySet) {
   EXPECT_EQ(res.pages_total, 0u);
   mem::Snapshot restored = pc.decompress(res.payload, prev);
   EXPECT_EQ(restored.page_count(), 0u);
+}
+
+// ---- chunk claiming ----
+
+/// Exactly `n` dirty pages over a previous checkpoint, cycling through
+/// unchanged, lightly edited, dense-random (raw fall-back) and new pages,
+/// so every chunk of four holds each kind once.
+struct SizedDirtySet {
+  mem::Snapshot prev;
+  std::vector<Bytes> images;
+  std::vector<DirtyPage> dirty;
+
+  SizedDirtySet(Rng& rng, std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) {
+      const Bytes old = random_bytes(rng, kPageSize);
+      Bytes now = old;
+      if (i % 4 == 1) {
+        const std::size_t len = 1 + rng.uniform_u64(512);
+        const std::size_t off = rng.uniform_u64(kPageSize - len);
+        for (std::size_t k = 0; k < len; ++k)
+          now[off + k] = std::uint8_t(rng());
+      } else if (i % 4 == 2) {
+        now = random_bytes(rng, kPageSize);
+      }
+      if (i % 4 != 3) prev.put_page(i, old);
+      images.push_back(std::move(now));
+    }
+    for (std::size_t i = 0; i < n; ++i) dirty.push_back({i, images[i]});
+  }
+};
+
+void expect_identical(const DeltaResult& got, const DeltaResult& want) {
+  ASSERT_EQ(got.payload, want.payload);
+  EXPECT_EQ(got.stats.input_bytes, want.stats.input_bytes);
+  EXPECT_EQ(got.stats.source_bytes, want.stats.source_bytes);
+  EXPECT_EQ(got.stats.output_bytes, want.stats.output_bytes);
+  EXPECT_EQ(got.stats.work_units, want.stats.work_units);
+  EXPECT_EQ(got.stats.copy_ops, want.stats.copy_ops);
+  EXPECT_EQ(got.stats.add_ops, want.stats.add_ops);
+  EXPECT_EQ(got.pages_total, want.pages_total);
+  EXPECT_EQ(got.pages_delta, want.pages_delta);
+  EXPECT_EQ(got.pages_raw, want.pages_raw);
+  EXPECT_EQ(got.pages_same, want.pages_same);
+}
+
+TEST(ParallelPageCompressor, ChunkClaimingByteIdenticalAtEveryWorkerCount) {
+  // One page, fewer pages than a chunk, a chunk and a page, and sets that
+  // end in a partial chunk.
+  Rng rng(40);
+  const PageAlignedCompressor serial;
+  for (const std::size_t n : {1, 3, 5, 33, 97}) {
+    const SizedDirtySet set(rng, n);
+    const DeltaResult want = serial.compress(set.dirty, set.prev);
+    for (unsigned workers = 1; workers <= 8; ++workers) {
+      ParallelPageCompressor pc({.workers = workers, .min_shard_pages = 1});
+      for (int call = 0; call < 2; ++call) {  // cold, then warm buffers
+        SCOPED_TRACE(::testing::Message() << "pages=" << n << " workers="
+                                          << workers << " call=" << call);
+        expect_identical(pc.compress(set.dirty, set.prev), want);
+      }
+    }
+  }
+}
+
+TEST(ParallelPageCompressor, BadPageThrowsAndNextCompressIsSerial) {
+  // A page whose span is not 4 KiB fails encode_page's check. Put it in
+  // the first chunk, the last chunk, or both: compress() throws the
+  // lowest failing page's CheckError, and the next call on the same
+  // instance starts from clean buffers.
+  Rng rng(41);
+  const PageAlignedCompressor serial;
+  const SizedDirtySet set(rng, 33);  // chunks 0..8, the last of one page
+  const DeltaResult want = serial.compress(set.dirty, set.prev);
+  const Bytes short_page(kPageSize - 1, 0);
+  const std::vector<std::vector<std::size_t>> bad_sets = {{1}, {32}, {1, 32}};
+  for (const std::vector<std::size_t>& bad : bad_sets) {
+    for (const unsigned workers : {2u, 4u}) {
+      SCOPED_TRACE(::testing::Message() << "first bad=" << bad.front()
+                                        << " workers=" << workers);
+      std::vector<DirtyPage> dirty = set.dirty;
+      for (const std::size_t i : bad) dirty[i].bytes = short_page;
+      ParallelPageCompressor pc({.workers = workers, .min_shard_pages = 1});
+      EXPECT_THROW((void)pc.compress(dirty, set.prev), CheckError);
+      expect_identical(pc.compress(set.dirty, set.prev), want);
+    }
+  }
+}
+
+TEST(ParallelPageCompressor, WarmCompressAllocatesNoChunkBuffer) {
+  // Chunk buffers are sized once and kept: a warm call allocates the
+  // result payload, and at most a pool thread's first block index or a
+  // task-queue node, far fewer than one allocation per chunk.
+  Rng rng(42);
+  const SizedDirtySet set(rng, 97);
+  const std::size_t chunks = (97 + 3) / 4;
+  ParallelPageCompressor pc({.workers = 4, .min_shard_pages = 1});
+  for (int warm = 0; warm < 3; ++warm) (void)pc.compress(set.dirty, set.prev);
+  const std::uint64_t before = aic::testing::heap_stats().allocations;
+  const DeltaResult res = pc.compress(set.dirty, set.prev);
+  const std::uint64_t allocations =
+      aic::testing::heap_stats().allocations - before;
+  EXPECT_LT(allocations, chunks);
+  EXPECT_EQ(res.pages_total, 97u);
 }
 
 // ---- unchanged-page fast path ----
