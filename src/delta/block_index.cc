@@ -43,7 +43,7 @@ std::size_t scan_misses_portable(const BlockIndex& index, ByteSpan target,
   return pos;
 }
 
-#if defined(__SSE2__)
+#if defined(__x86_64__)
 namespace {
 
 /// Inclusive prefix sum over eight 16-bit lanes.

@@ -106,7 +106,7 @@ class BlockIndex {
 std::size_t scan_misses_portable(const BlockIndex& index, ByteSpan target,
                                  std::size_t pos, RollingHash& rh);
 
-#if defined(__SSE2__)
+#if defined(__x86_64__)
 /// scan_misses_portable eight windows per step. The sums it leaves in
 /// `rh` are exact mod 2^16, all that digest() and roll() need.
 std::size_t scan_misses_sse2(const BlockIndex& index, ByteSpan target,
@@ -116,7 +116,7 @@ std::size_t scan_misses_sse2(const BlockIndex& index, ByteSpan target,
 /// The scan the coder runs: SSE2 on x86-64, per byte elsewhere.
 inline std::size_t scan_misses(const BlockIndex& index, ByteSpan target,
                                std::size_t pos, RollingHash& rh) {
-#if defined(__SSE2__)
+#if defined(__x86_64__)
   return scan_misses_sse2(index, target, pos, rh);
 #else
   return scan_misses_portable(index, target, pos, rh);

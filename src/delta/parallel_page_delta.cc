@@ -100,9 +100,7 @@ DeltaResult ParallelPageCompressor::compress(
     obs::Hub* hub = config_.obs;
     const double t0 = hub ? hub->trace.wall_seconds() : 0.0;
     std::size_t pages = 0, bytes_out = 0;
-    for (std::size_t c = next_chunk.fetch_add(1, std::memory_order_relaxed);
-         c < chunk_count;
-         c = next_chunk.fetch_add(1, std::memory_order_relaxed)) {
+    for (std::size_t c = next_chunk++; c < chunk_count; c = next_chunk++) {
       Chunk& chunk = chunks_[c];
       ByteWriter w(chunk.records);
       const std::size_t lo = c * kChunkPages;

@@ -24,7 +24,7 @@
 #include <cstddef>
 #include <cstdint>
 
-#if defined(__SSE2__)
+#if defined(__x86_64__)
 #include <emmintrin.h>
 #endif
 
@@ -53,7 +53,7 @@ inline WeakSums weak_sums_portable(const std::uint8_t* data,
   return s;
 }
 
-#if defined(__SSE2__)
+#if defined(__x86_64__)
 /// The sums 16 bytes at a time. Over chunk c, psadbw gives the byte sum
 /// a_c and pmaddwd against weights 16..1 the weighted sum w_c; a byte's
 /// weight len - 16c - k splits into (len - 16c - 16) + (16 - k), so
@@ -97,7 +97,7 @@ inline WeakSums weak_sums_sse2(const std::uint8_t* data, std::size_t len) {
 
 /// The sums as the coder takes them: SSE2 on x86-64, per byte elsewhere.
 inline WeakSums weak_sums(const std::uint8_t* data, std::size_t len) {
-#if defined(__SSE2__)
+#if defined(__x86_64__)
   return weak_sums_sse2(data, len);
 #else
   return weak_sums_portable(data, len);

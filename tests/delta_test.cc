@@ -66,7 +66,7 @@ constexpr std::size_t kEdgeBlockSizes[] = {4,  5,  7,  8,  12, 16, 17, 31,
 
 /// The vector sums where the build has them, else the portable ones.
 WeakSums vector_sums(const std::uint8_t* data, std::size_t len) {
-#if defined(__SSE2__)
+#if defined(__x86_64__)
   return detail::weak_sums_sse2(data, len);
 #else
   return detail::weak_sums(data, len);
@@ -75,7 +75,7 @@ WeakSums vector_sums(const std::uint8_t* data, std::size_t len) {
 
 std::size_t vector_scan(const detail::BlockIndex& index, ByteSpan target,
                         std::size_t pos, RollingHash& rh) {
-#if defined(__SSE2__)
+#if defined(__x86_64__)
   return detail::scan_misses_sse2(index, target, pos, rh);
 #else
   return detail::scan_misses(index, target, pos, rh);

@@ -346,8 +346,10 @@ TEST(ParallelPageCompressor, BadPageThrowsAndNextCompressIsSerial) {
 
 TEST(ParallelPageCompressor, WarmCompressAllocatesNoChunkBuffer) {
   // Chunk buffers are sized once and kept: a warm call allocates the
-  // result payload, and at most a pool thread's first block index or a
-  // task-queue node, far fewer than one allocation per chunk.
+  // result payload, a task-queue node at most, and three vectors for
+  // each pool thread that encodes its first page now (at most 1 + 1 +
+  // 3 * 3 = 11), against one allocation per chunk if buffers were not
+  // kept.
   Rng rng(42);
   const SizedDirtySet set(rng, 97);
   const std::size_t chunks = (97 + 3) / 4;
@@ -357,7 +359,7 @@ TEST(ParallelPageCompressor, WarmCompressAllocatesNoChunkBuffer) {
   const DeltaResult res = pc.compress(set.dirty, set.prev);
   const std::uint64_t allocations =
       aic::testing::heap_stats().allocations - before;
-  EXPECT_LT(allocations, chunks);
+  EXPECT_LE(allocations, chunks / 2);
   EXPECT_EQ(res.pages_total, 97u);
 }
 
