@@ -322,9 +322,9 @@ TEST(ParallelPageCompressor, ChunkClaimingByteIdenticalAtEveryWorkerCount) {
 
 TEST(ParallelPageCompressor, BadPageThrowsAndNextCompressIsSerial) {
   // A page whose span is not 4 KiB fails encode_page's check. Put it in
-  // the first chunk, the last chunk, or both: compress() throws the
-  // lowest failing page's CheckError, and the next call on the same
-  // instance starts from clean buffers.
+  // the first chunk, the last chunk, or both: compress() throws
+  // CheckError, and the next call on the same instance starts from clean
+  // buffers.
   Rng rng(41);
   const PageAlignedCompressor serial;
   const SizedDirtySet set(rng, 33);  // chunks 0..8, the last of one page
