@@ -15,6 +15,7 @@
 #include <cstring>
 #include <memory>
 #include <new>
+#include <thread>
 
 #include "bench_session_gbench.h"
 
@@ -164,6 +165,41 @@ void BM_XDelta3EncodeMiss(benchmark::State& state) {
       double(ns) / double(std::uint64_t(state.iterations()));
 }
 BENCHMARK(BM_XDelta3EncodeMiss)->Arg(kPageSize)->Arg(32);
+
+/// The whole-file coder at table3_compressors' full source size: 2048
+/// pages (8 MiB) under file_config(), 32,768 blocks of 256 bytes. The
+/// target is the source with the arg's percent rewritten in one run, so
+/// /100 scans every window as a miss. index_kib is the heap a fresh
+/// thread's first encode keeps: its block index.
+void BM_XDelta3EncodeFile(benchmark::State& state) {
+  Rng rng(17);
+  const Bytes src = random_bytes(rng, 2048 * kPageSize);
+  const Bytes tgt = edited(src, double(state.range(0)) / 100.0, rng);
+  const delta::XDelta3Codec codec(delta::WholeFileCompressor::file_config());
+  Bytes out;
+  out.reserve(2 * tgt.size());
+  std::uint64_t index_bytes = 0;
+  std::thread([&] {
+    const std::uint64_t live0 = reset_heap_peak();
+    ByteWriter w(out);
+    codec.encode_to(src, tgt, w);
+    index_bytes = heap_peak() - live0;
+  }).join();
+  for (auto _ : state) {
+    out.clear();
+    ByteWriter w(out);
+    codec.encode_to(src, tgt, w);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(std::int64_t(state.iterations()) *
+                          std::int64_t(tgt.size()));
+  state.counters["index_kib"] = double(index_bytes) / 1024.0;
+}
+BENCHMARK(BM_XDelta3EncodeFile)
+    ->Arg(10)
+    ->Arg(100)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_XDelta3Decode(benchmark::State& state) {
   Rng rng(2);
