@@ -1,6 +1,7 @@
 #include "delta/block_index.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/check.h"
 
@@ -13,9 +14,14 @@ void BlockIndex::rebuild(ByteSpan source, std::size_t block_size) {
   // floor keeps tiny sources from thrashing one cache line.
   unsigned bits = kMinSlotBits;
   while ((std::size_t{1} << bits) < 2 * blocks) ++bits;
-  const unsigned filter_bits = std::min(bits + 5, kMaxFilterBits);
+  // Four filter bytes per slot, as far as a 32-bit hash reaches (it
+  // stops binding past 2^29 blocks). A tag takes the eight hash bits
+  // below its entry's index, or the lowest eight once the index reaches
+  // down to them.
+  const unsigned filter_bits = std::min(bits + 2, 32u);
   slot_shift_ = 64 - bits;
-  filter_shift_ = 32 - filter_bits;  // 32 filter bytes per slot
+  filter_shift_ = 32 - filter_bits;
+  tag_shift_ = filter_shift_ >= 8 ? filter_shift_ - 8 : 0;
   slots_.assign(std::size_t{1} << bits, Slot{});
   filter_.assign(std::size_t{1} << filter_bits, 0);
   next_.resize(blocks);
@@ -24,7 +30,10 @@ void BlockIndex::rebuild(ByteSpan source, std::size_t block_size) {
   for (std::size_t b = blocks; b-- > 0;) {
     const std::uint32_t weak =
         RollingHash(source.data() + b * block_size, block_size).digest();
-    filter_[(weak * kFilterMul) >> filter_shift_] = 1;
+    const std::uint32_t h = weak * kFilterMul;
+    std::uint8_t& entry = filter_[h >> filter_shift_];
+    const std::uint8_t tag = tag_of(h);
+    entry = (entry == 0 || entry == tag) ? tag : kShared;
     Slot& slot = slots_[slot_of(weak)];
     next_[b] = slot.head;
     slot = Slot{weak, std::uint32_t(b)};
@@ -59,10 +68,11 @@ inline __m128i broadcast_lane7(__m128i x) {
   return _mm_unpackhi_epi64(x, x);
 }
 
-/// filter[e] for the two entries packed in `pair`, ORed.
-inline std::uint8_t probe_pair(const std::uint8_t* filter,
+/// filter[e] for the two entries packed in `pair`, as bytes 0 and 1.
+inline std::uint64_t load_pair(const std::uint8_t* filter,
                                std::uint64_t pair) {
-  return filter[std::uint32_t(pair)] | filter[pair >> 32];
+  return filter[std::uint32_t(pair)] |
+         std::uint64_t(filter[pair >> 32]) << 8;
 }
 
 }  // namespace
@@ -85,6 +95,10 @@ std::size_t scan_misses_sse2(const BlockIndex& index, ByteSpan target,
       _mm_set1_epi16(std::int16_t(BlockIndex::kFilterMul & 0xFFFF));
   const __m128i m_hi = _mm_set1_epi16(std::int16_t(BlockIndex::kFilterMul >> 16));
   const __m128i shift = _mm_cvtsi32_si128(int(index.filter_shift()));
+  const __m128i tag_shift = _mm_cvtsi32_si128(int(index.tag_shift()));
+  const __m128i low_byte = _mm_set1_epi32(0xFF);
+  const __m128i one = _mm_set1_epi16(1);
+  const __m128i shared = _mm_set1_epi16(BlockIndex::kShared);
   const std::uint8_t* filter = index.filter();
   // Window pos's sums, in every lane.
   __m128i va = _mm_set1_epi16(std::int16_t(rh.sums().a));
@@ -109,29 +123,45 @@ std::size_t scan_misses_sse2(const BlockIndex& index, ByteSpan target,
     vb = _mm_add_epi16(vb, _mm_add_epi16(_mm_slli_epi16(va, 3),
                                          broadcast_lane7(db)));
     va = _mm_add_epi16(va, broadcast_lane7(da));
-    // Each lane's filter entry, as in BlockIndex::may_contain.
+    // Each lane's hash, entry and tag, as in BlockIndex::may_contain.
     const __m128i h_lo = _mm_mullo_epi16(wa, m_lo);
     const __m128i h_hi = _mm_add_epi16(
         _mm_add_epi16(_mm_mulhi_epu16(wa, m_lo), _mm_mullo_epi16(wa, m_hi)),
         _mm_mullo_epi16(wb, m_lo));
-    const __m128i e_lo = _mm_srl_epi32(_mm_unpacklo_epi16(h_lo, h_hi), shift);
-    const __m128i e_hi = _mm_srl_epi32(_mm_unpackhi_epi16(h_lo, h_hi), shift);
-    const std::uint8_t hit =
-        probe_pair(filter, std::uint64_t(_mm_cvtsi128_si64(e_lo))) |
-        probe_pair(filter, std::uint64_t(_mm_cvtsi128_si64(
-                               _mm_unpackhi_epi64(e_lo, e_lo)))) |
-        probe_pair(filter, std::uint64_t(_mm_cvtsi128_si64(e_hi))) |
-        probe_pair(filter, std::uint64_t(_mm_cvtsi128_si64(
-                               _mm_unpackhi_epi64(e_hi, e_hi))));
-    if (hit == 0) continue;
-    // The first lane whose digest (b << 16) | a a block has, if any.
+    const __m128i h03 = _mm_unpacklo_epi16(h_lo, h_hi);
+    const __m128i h47 = _mm_unpackhi_epi16(h_lo, h_hi);
+    const __m128i e03 = _mm_srl_epi32(h03, shift);
+    const __m128i e47 = _mm_srl_epi32(h47, shift);
+    const __m128i tag = _mm_or_si128(
+        _mm_packs_epi32(_mm_and_si128(_mm_srl_epi32(h03, tag_shift), low_byte),
+                        _mm_and_si128(_mm_srl_epi32(h47, tag_shift), low_byte)),
+        one);
+    // Lane j's filter byte in byte j, then in 16-bit lane j.
+    const std::uint64_t bytes =
+        load_pair(filter, std::uint64_t(_mm_cvtsi128_si64(e03))) |
+        (load_pair(filter, std::uint64_t(_mm_cvtsi128_si64(
+                               _mm_unpackhi_epi64(e03, e03))))
+         << 16) |
+        (load_pair(filter, std::uint64_t(_mm_cvtsi128_si64(e47))) << 32) |
+        (load_pair(filter, std::uint64_t(_mm_cvtsi128_si64(
+                               _mm_unpackhi_epi64(e47, e47))))
+         << 48);
+    const __m128i entry =
+        _mm_unpacklo_epi8(_mm_cvtsi64_si128(std::int64_t(bytes)), zero);
+    unsigned hits = unsigned(_mm_movemask_epi8(
+                        _mm_or_si128(_mm_cmpeq_epi16(entry, tag),
+                                     _mm_cmpeq_epi16(entry, shared)))) &
+                    0x5555u;
+    if (hits == 0) continue;
+    // The first passing lane whose digest (b << 16) | a a block has.
     alignas(16) std::uint32_t dig[8];
     _mm_store_si128(reinterpret_cast<__m128i*>(dig),
                     _mm_unpacklo_epi16(wa, wb));
     _mm_store_si128(reinterpret_cast<__m128i*>(dig + 4),
                     _mm_unpackhi_epi16(wa, wb));
-    for (std::size_t j = 0; j < 8; ++j) {
-      if (index.contains(dig[j])) {
+    for (; hits != 0; hits &= hits - 1) {
+      const unsigned j = unsigned(std::countr_zero(hits)) / 2;
+      if (index.first(dig[j]) != BlockIndex::kNone) {
         rh = RollingHash(WeakSums{dig[j] & 0xFFFF, dig[j] >> 16}, bs);
         return pos + 1 + j;
       }

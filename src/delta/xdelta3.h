@@ -14,14 +14,15 @@
 // open-addressed table sized from the source's block count (two slots per
 // block, floor of 64), rebuilt in place per call and kept per thread,
 // never shared; on x86-64 its block digests are taken 16 bytes at a time
-// in SSE2. A one-byte-per-entry filter of 64 entries per block sits in
+// in SSE2. A filter of tagged one-byte entries, four per slot, sits in
 // front of it, and the miss scan rolls eight windows per step in 16-bit
-// lanes and tests them against the filter with one OR of eight byte
-// loads. Each digest's blocks chain in ascending offset order, so
+// lanes and tests them against the filter with two compares and a
+// movemask. Each digest's blocks chain in ascending offset order, so
 // max_probes cuts the same candidates whatever the table layout; matches
-// are confirmed and extended eight bytes at a time in both directions. encode_to() appends
-// straight into a caller's writer, which lets the page-aligned coder
-// build records in the payload without a per-page buffer. None of this
+// are confirmed and extended eight bytes at a time in both directions.
+// encode_to() appends straight into a caller's writer, which lets the
+// page-aligned coder build records in the payload without a per-page
+// buffer. None of this
 // moves a byte or a work unit: the pinned encoding
 // (XDelta3.EncodingIsPinned) and the deterministic latencies derived from
 // CodecStats::work_units depend on that.

@@ -198,6 +198,46 @@ TEST(BlockIndex, PageIndexFitsSixteenKiB) {
   EXPECT_LE(index.memory_bytes(), 16 * kKiB);
 }
 
+TEST(BlockIndex, FilterPassesEveryBlockAndFewOthers) {
+  // Sources from a page to 2^18 blocks of 4 bytes, where thousands of
+  // entries are shared: every block's digest passes the filter, and of
+  // the windows of an unrelated target whose digest no block has, under
+  // 1/60 pass.
+  Rng rng(33);
+  const Bytes target = random_bytes(rng, 64 * kKiB);
+  struct Case {
+    std::size_t src_len, bs;
+  };
+  for (const Case c : {Case{kPageSize, 32}, Case{kMiB, 4}, Case{kMiB, 256}}) {
+    const Bytes source = random_bytes(rng, c.src_len);
+    detail::BlockIndex index;
+    index.rebuild(source, c.bs);
+    for (std::size_t off = 0; off + c.bs <= c.src_len; off += c.bs) {
+      ASSERT_TRUE(
+          index.contains(RollingHash(source.data() + off, c.bs).digest()))
+          << "src=" << c.src_len << " bs=" << c.bs << " off=" << off;
+    }
+    std::size_t absent = 0, passed = 0;
+    for (std::size_t pos = 0; pos + c.bs <= target.size(); ++pos) {
+      const std::uint32_t d = RollingHash(target.data() + pos, c.bs).digest();
+      if (index.first(d) != detail::BlockIndex::kNone) continue;
+      ++absent;
+      passed += index.may_contain(d);
+    }
+    EXPECT_LT(passed * 60, absent) << "src=" << c.src_len << " bs=" << c.bs;
+  }
+}
+
+TEST(BlockIndex, FullSizeFileIndexTakes896KiB) {
+  // table3_compressors' full-size source, 2048 pages under file_config():
+  // 32,768 blocks in 2^16 slots (512 KiB), a filter of four bytes per
+  // slot (256 KiB) and the chain links (128 KiB). Contents do not matter.
+  const Bytes source(2048 * kPageSize, 0);
+  detail::BlockIndex index;
+  index.rebuild(source, WholeFileCompressor::file_config().block_size);
+  EXPECT_EQ(index.memory_bytes(), 896 * kKiB);
+}
+
 class CodecRoundTrip : public ::testing::TestWithParam<int> {
  protected:
   std::unique_ptr<DeltaCodec> make() const {
