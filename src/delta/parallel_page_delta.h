@@ -58,9 +58,10 @@ class ParallelPageCompressor {
     /// the paper's "all cores but the application's" checkpointing cores).
     /// 1 encodes inline with no pool at all.
     unsigned workers = 0;
-    /// Dirty sets smaller than workers * this encode inline: dispatch
-    /// overhead would dominate a handful of 4 KiB pages. Larger sets run
-    /// on min(workers, size / this) threads.
+    /// A set of n dirty pages runs on min(workers, n / this, ceil(n / 4))
+    /// threads, ceil(n / 4) being its chunk count, and inline when that
+    /// is 1 or less: dispatch overhead would dominate a handful of 4 KiB
+    /// pages.
     std::size_t min_shard_pages = 8;
     /// Optional observability hub: one wall-clock shard span per
     /// encoding thread (its pages and bytes out) and bytes-in/out

@@ -64,24 +64,6 @@ TEST(RollingHash, Fnv1aKnownVector) {
 constexpr std::size_t kEdgeBlockSizes[] = {4,  5,  7,  8,  12, 16, 17, 31,
                                            32, 33, 48, 64, 100, 256};
 
-/// The vector sums where the build has them, else the portable ones.
-WeakSums vector_sums(const std::uint8_t* data, std::size_t len) {
-#if defined(__x86_64__)
-  return detail::weak_sums_sse2(data, len);
-#else
-  return detail::weak_sums(data, len);
-#endif
-}
-
-std::size_t vector_scan(const detail::BlockIndex& index, ByteSpan target,
-                        std::size_t pos, RollingHash& rh) {
-#if defined(__x86_64__)
-  return detail::scan_misses_sse2(index, target, pos, rh);
-#else
-  return detail::scan_misses(index, target, pos, rh);
-#endif
-}
-
 TEST(WeakSums, VectorEqualsPortableAtEveryOffset) {
   Rng rng(30);
   // Bytes(n) allocates exactly n bytes: the last window ends on the
@@ -95,7 +77,7 @@ TEST(WeakSums, VectorEqualsPortableAtEveryOffset) {
       RollingHash rolled(detail::weak_sums_portable(p, bs), bs);
       for (std::size_t pos = 0; pos < windows; ++pos) {
         const WeakSums want = detail::weak_sums_portable(p + pos, bs);
-        const WeakSums got = vector_sums(p + pos, bs);
+        const WeakSums got = detail::weak_sums(p + pos, bs);
         ASSERT_EQ(got.a, want.a) << "bs=" << bs << " off=" << off
                                  << " pos=" << pos;
         ASSERT_EQ(got.b, want.b) << "bs=" << bs << " off=" << off
@@ -114,7 +96,7 @@ TEST(WeakSums, VectorWrapsLikePortable) {
   for (const std::size_t len : {1, 15, 16, 17, 4095, 4096, 65537, 300000}) {
     const Bytes ones(std::size_t(len), 0xFF);
     const WeakSums want = detail::weak_sums_portable(ones.data(), ones.size());
-    const WeakSums got = vector_sums(ones.data(), ones.size());
+    const WeakSums got = detail::weak_sums(ones.data(), ones.size());
     EXPECT_EQ(got.a, want.a) << "len=" << len;
     EXPECT_EQ(got.b, want.b) << "len=" << len;
   }
@@ -171,7 +153,7 @@ TEST(ScanMisses, VectorStopsWherePortableDoes) {
         const std::vector<std::size_t> want = scan_stops(
             index, target, bs, detail::scan_misses_portable);
         const std::vector<std::size_t> got =
-            scan_stops(index, target, bs, vector_scan);
+            scan_stops(index, target, bs, detail::scan_misses);
         ASSERT_EQ(got, want) << "bs=" << bs << " src=" << src_len
                              << " kind=" << kind;
         // Each stop but the last window is a window some block has.

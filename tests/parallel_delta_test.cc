@@ -347,19 +347,18 @@ TEST(ParallelPageCompressor, BadPageThrowsAndNextCompressIsSerial) {
 TEST(ParallelPageCompressor, WarmCompressAllocatesNoChunkBuffer) {
   // Chunk buffers are sized once and kept: a warm call allocates the
   // result payload, a task-queue node at most, and three vectors for
-  // each pool thread that encodes its first page now (at most 1 + 1 +
-  // 3 * 3 = 11), against one allocation per chunk if buffers were not
-  // kept.
+  // each pool thread that encodes its first page now, against one
+  // allocation per chunk (25 here) if buffers were not kept.
   Rng rng(42);
   const SizedDirtySet set(rng, 97);
-  const std::size_t chunks = (97 + 3) / 4;
-  ParallelPageCompressor pc({.workers = 4, .min_shard_pages = 1});
+  const unsigned workers = 4;
+  ParallelPageCompressor pc({.workers = workers, .min_shard_pages = 1});
   for (int warm = 0; warm < 3; ++warm) (void)pc.compress(set.dirty, set.prev);
   const std::uint64_t before = aic::testing::heap_stats().allocations;
   const DeltaResult res = pc.compress(set.dirty, set.prev);
   const std::uint64_t allocations =
       aic::testing::heap_stats().allocations - before;
-  EXPECT_LE(allocations, chunks / 2);
+  EXPECT_LE(allocations, 2 + 3 * (workers - 1));
   EXPECT_EQ(res.pages_total, 97u);
 }
 
