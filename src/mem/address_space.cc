@@ -1,64 +1,31 @@
 #include "mem/address_space.h"
 
 #include <algorithm>
-#include <bit>
 #include <cstring>
-#include <utility>
 
 #include "common/check.h"
 
 namespace aic::mem {
 
-AddressSpace::Slot* AddressSpace::find(PageId id) {
-  return const_cast<Slot*>(std::as_const(*this).find(id));
-}
-
-const AddressSpace::Slot* AddressSpace::find(PageId id) const {
-  if (index_.empty()) return nullptr;
-  const std::size_t mask = index_.size() - 1;
-  for (std::size_t i = home(id);; i = (i + 1) & mask) {
-    if (index_[i].frame == nullptr) return nullptr;
-    if (index_[i].id == id) return &index_[i];
-  }
-}
-
-void AddressSpace::grow_index(std::size_t pages) {
-  const std::size_t buckets =
-      std::bit_ceil(std::max<std::size_t>(16, 2 * pages));
-  if (index_.size() >= buckets) return;
-  std::vector<Slot> old = std::exchange(index_, std::vector<Slot>(buckets));
-  index_shift_ = 64 - std::countr_zero(buckets);
-  const std::size_t mask = buckets - 1;
-  for (const Slot& s : old) {
-    if (s.frame == nullptr) continue;
-    std::size_t i = home(s.id);
-    while (index_[i].frame != nullptr) i = (i + 1) & mask;
-    index_[i] = s;
-  }
-}
-
 void AddressSpace::reserve(std::size_t pages) {
-  grow_index(pages);
+  index_.reserve(pages);
   frames_.reserve(pages);
   live_.reserve(pages);
   dirty_.reserve(pages);
 }
 
 PageData* AddressSpace::insert_page(PageId id) {
-  if (2 * (live_.size() + 1) > index_.size()) grow_index(live_.size() + 1);
-  const std::size_t mask = index_.size() - 1;
-  std::size_t i = home(id);
-  for (; index_[i].frame != nullptr; i = (i + 1) & mask)
-    AIC_CHECK_MSG(index_[i].id != id, "double allocation of page " << id);
+  Slot& slot = index_.insert(id);
+  AIC_CHECK_MSG(slot.empty(), "double allocation of page " << id);
   // A page born in this epoch is dirty but was never armed: no fault.
-  index_[i] = Slot{id, frames_.acquire(), epoch_, dirty_.size()};
+  slot = Slot{id, frames_.acquire(), epoch_, dirty_.size()};
   dirty_.push_back(id);
   if (live_.empty() || id > live_.back()) {
     live_.push_back(id);
   } else {
     live_.insert(std::lower_bound(live_.begin(), live_.end(), id), id);
   }
-  return index_[i].frame;
+  return slot.frame;
 }
 
 void AddressSpace::allocate(PageId id) {
@@ -75,34 +42,22 @@ void AddressSpace::allocate_range(PageId first, std::uint64_t count) {
 }
 
 void AddressSpace::free_page(PageId id) {
-  Slot* slot = find(id);
+  Slot* slot = index_.find(id);
   AIC_CHECK_MSG(slot != nullptr, "freeing unmapped page " << id);
   if (slot->stamp == epoch_) {
     // Dirty: the last dirty id takes this one's place in the list.
     const PageId last = dirty_.back();
     dirty_[slot->dirty_at] = last;
-    find(last)->dirty_at = slot->dirty_at;
+    index_.find(last)->dirty_at = slot->dirty_at;
     dirty_.pop_back();
   }
   frames_.release(slot->frame);
   live_.erase(std::lower_bound(live_.begin(), live_.end(), id));
-
-  // Backward-shift deletion: a later bucket of the probe run moves into
-  // the hole unless that would put it before its home.
-  const std::size_t mask = index_.size() - 1;
-  std::size_t hole = std::size_t(slot - index_.data());
-  for (std::size_t i = (hole + 1) & mask; index_[i].frame != nullptr;
-       i = (i + 1) & mask) {
-    if (((i - home(index_[i].id)) & mask) >= ((i - hole) & mask)) {
-      index_[hole] = index_[i];
-      hole = i;
-    }
-  }
-  index_[hole] = Slot{};
+  index_.erase(*slot);
 }
 
 ByteSpan AddressSpace::page_bytes(PageId id) const {
-  const Slot* slot = find(id);
+  const Slot* slot = index_.find(id);
   AIC_CHECK_MSG(slot != nullptr, "reading unmapped page " << id);
   return ByteSpan(slot->frame->bytes, kPageSize);
 }
@@ -123,7 +78,7 @@ PageData* AddressSpace::touch(Slot& slot) {
 }
 
 void AddressSpace::write(PageId id, std::size_t offset, ByteSpan data) {
-  Slot* slot = find(id);
+  Slot* slot = index_.find(id);
   AIC_CHECK_MSG(slot != nullptr, "writing unmapped page " << id);
   // Two comparisons, not offset + size: that sum wraps near SIZE_MAX.
   AIC_CHECK_MSG(offset <= kPageSize && data.size() <= kPageSize - offset,
@@ -138,7 +93,7 @@ void AddressSpace::write_page(PageId id, ByteSpan data) {
 
 void AddressSpace::mutate(
     PageId id, const std::function<void(std::span<std::uint8_t>)>& fn) {
-  Slot* slot = find(id);
+  Slot* slot = index_.find(id);
   AIC_CHECK_MSG(slot != nullptr, "mutating unmapped page " << id);
   fn(std::span<std::uint8_t>(touch(*slot)->bytes, kPageSize));
 }
@@ -155,7 +110,7 @@ std::vector<PageId> AddressSpace::dirty_pages() const {
 }
 
 bool AddressSpace::is_dirty(PageId id) const {
-  const Slot* slot = find(id);
+  const Slot* slot = index_.find(id);
   return slot != nullptr && slot->stamp == epoch_;
 }
 

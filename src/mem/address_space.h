@@ -12,8 +12,8 @@
 //
 // Pages are 4 KiB (common/units.h) and sparse: only allocated pages hold
 // backing bytes. Page ids are virtual page numbers. Frames come from a
-// FrameStore and a page is found through an open-addressed id index, so
-// memory follows the live pages, not the largest id. Protection is by
+// FrameSlab and a page is found through an id index (common/id_index.h),
+// so memory follows the live pages, not the largest id. Protection is by
 // epoch: protect_all() starts a new one in O(1), and a page not touched
 // in the current epoch is armed.
 #pragma once
@@ -24,12 +24,27 @@
 #include <vector>
 
 #include "common/bytes.h"
+#include "common/id_index.h"
+#include "common/slab.h"
 #include "common/units.h"
-#include "mem/frame_store.h"
 
 namespace aic::mem {
 
 using PageId = std::uint64_t;
+
+/// Backing bytes of one page.
+struct PageData {
+  std::uint8_t bytes[kPageSize];
+};
+
+/// Small blocks keep a small image small: an in-place restore holds one
+/// image plus its spare frames, and must stay near half of what an
+/// out-of-place restore holds (CheckpointV3 tests pin that).
+inline constexpr std::size_t kFramesPerBlock = 8;
+/// The page frames of an AddressSpace or a Snapshot. Blocks never move, so
+/// a view of a frame (page_bytes, find_page) stays valid until that frame
+/// is released, and a store allocates once per block, not once per page.
+using FrameSlab = common::Slab<PageData, kFramesPerBlock>;
 
 /// Called on the first write to a protected page (simulated page fault).
 /// Receives the faulting page id.
@@ -58,7 +73,7 @@ class AddressSpace {
   /// Makes room for `pages` pages (and as many dirty marks) up front.
   void reserve(std::size_t pages);
 
-  bool contains(PageId id) const { return find(id) != nullptr; }
+  bool contains(PageId id) const { return index_.find(id) != nullptr; }
   std::size_t page_count() const { return live_.size(); }
   std::uint64_t footprint_bytes() const { return live_.size() * kPageSize; }
 
@@ -100,7 +115,8 @@ class AddressSpace {
   std::uint64_t fault_count() const { return fault_count_; }
 
  private:
-  /// A bucket of the id index: one live page. An empty bucket has no frame.
+  /// A bucket of the id index: one live page. Page 0 is a valid id, so an
+  /// empty bucket is one without a frame.
   struct Slot {
     PageId id = 0;
     PageData* frame = nullptr;
@@ -109,26 +125,19 @@ class AddressSpace {
     std::uint64_t stamp = 0;
     /// Where the page sits in dirty_ while it is dirty.
     std::size_t dirty_at = 0;
+
+    bool empty() const { return frame == nullptr; }
   };
 
-  Slot* find(PageId id);
-  const Slot* find(PageId id) const;
   /// Inserts a dirty page with an unfilled frame; throws on a double
   /// allocation. Returns the frame for the caller to fill.
   PageData* insert_page(PageId id);
   /// Marks the page dirty, faulting if it was armed; returns its frame.
   /// The observer may change the space, so `slot` is dead afterwards.
   PageData* touch(Slot& slot);
-  std::size_t home(PageId id) const {
-    return std::size_t((id * 0x9E3779B97F4A7C15ull) >> index_shift_);
-  }
-  /// Sizes the index for `pages` live pages at most half full.
-  void grow_index(std::size_t pages);
 
-  FrameStore frames_;
-  /// Open-addressed id -> page map with linear probing, at most half full.
-  std::vector<Slot> index_;
-  int index_shift_ = 64;  // 64 - log2(index_.size())
+  FrameSlab frames_;
+  common::IdIndex<Slot> index_;
   std::vector<PageId> live_;   // ascending
   std::vector<PageId> dirty_;  // in first-touch order
   std::uint64_t epoch_ = 0;

@@ -11,7 +11,6 @@
 
 #include "common/bytes.h"
 #include "mem/address_space.h"
-#include "mem/frame_store.h"
 
 namespace aic::mem {
 
@@ -71,7 +70,7 @@ class Snapshot {
   /// payload serialized from a snapshot. Ids arriving in ascending order
   /// append; an id inserted below the largest shifts the entries above it.
   std::vector<Page> pages_;
-  FrameStore frames_;
+  FrameSlab frames_;
 };
 
 }  // namespace aic::mem

@@ -1,7 +1,6 @@
 #include "xfer/scheduler.h"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <limits>
 #include <sstream>
@@ -167,7 +166,8 @@ TransferId TransferScheduler::admit(int level, std::string key,
   }
   AIC_CHECK_MSG(fresh_key, "duplicate live transfer of "
                                << key << " to level " << level);
-  Entry& e = take_slot();
+  Entry& e = *slots_.acquire();
+  index_.reserve(slots_.capacity());
   e.rec.id = next_id_++;
   e.rec.key = std::move(key);
   e.rec.level = level;
@@ -180,71 +180,16 @@ TransferId TransferScheduler::admit(int level, std::string key,
   e.synthetic = synthetic;
   e.ready_at = now_;
   e.wait_since = now_;
-  index_insert(e.rec.id, &e);
+  index_.insert(e.rec.id) = Bucket{e.rec.id, &e};
   reschedule(e);
   return e.rec.id;
 }
 
-TransferScheduler::Entry* TransferScheduler::find(TransferId id) const {
-  if (index_.empty()) return nullptr;
-  const std::size_t mask = index_.size() - 1;
-  for (std::size_t i = home(id);; i = (i + 1) & mask) {
-    if (index_[i].id == id) return index_[i].entry;
-    if (index_[i].id == 0) return nullptr;
-  }
-}
-
 TransferScheduler::Entry& TransferScheduler::entry(TransferId id,
                                                    const char* op) const {
-  Entry* e = find(id);
-  AIC_CHECK_MSG(e != nullptr, op << "unknown transfer " << id);
-  return *e;
-}
-
-TransferScheduler::Entry& TransferScheduler::take_slot() {
-  if (free_slots_.empty()) {
-    blocks_.push_back(std::make_unique<Entry[]>(kSlotsPerBlock));
-    Entry* block = blocks_.back().get();
-    for (std::size_t i = kSlotsPerBlock; i-- > 0;) {
-      free_slots_.push_back(block + i);
-    }
-    // Keep the index at most half full: rebuild it at twice the slots.
-    const std::size_t buckets = 2 * blocks_.size() * kSlotsPerBlock;
-    if (index_.size() < buckets) {
-      std::vector<Bucket> old = std::exchange(
-          index_, std::vector<Bucket>(std::bit_ceil(buckets)));
-      index_shift_ = 64 - std::countr_zero(index_.size());
-      for (const Bucket& b : old) {
-        if (b.id != 0) index_insert(b.id, b.entry);
-      }
-    }
-  }
-  Entry* e = free_slots_.back();
-  free_slots_.pop_back();
-  return *e;
-}
-
-void TransferScheduler::index_insert(TransferId id, Entry* e) {
-  const std::size_t mask = index_.size() - 1;
-  std::size_t i = home(id);
-  while (index_[i].id != 0) i = (i + 1) & mask;
-  index_[i] = {id, e};
-}
-
-void TransferScheduler::index_erase(TransferId id) {
-  const std::size_t mask = index_.size() - 1;
-  std::size_t hole = home(id);
-  while (index_[hole].id != id) hole = (hole + 1) & mask;
-  // Backward-shift deletion: a later bucket of the probe run moves into
-  // the hole unless that would put it before its home.
-  for (std::size_t i = (hole + 1) & mask; index_[i].id != 0;
-       i = (i + 1) & mask) {
-    if (((i - home(index_[i].id)) & mask) >= ((i - hole) & mask)) {
-      index_[hole] = index_[i];
-      hole = i;
-    }
-  }
-  index_[hole] = Bucket{};
+  const Bucket* b = index_.find(id);
+  AIC_CHECK_MSG(b != nullptr, op << "unknown transfer " << id);
+  return *b->entry;
 }
 
 std::uint32_t TransferScheduler::lane_index(Level& level,
@@ -700,9 +645,9 @@ void TransferScheduler::discard(TransferId id) {
   if (e.rec.state == TransferState::kInterrupted) unlist_interrupted(e);
   spare_keys_.push_back(e.level->keys.extract(e.rec.key));
   discarded_stats_ += e.rec.stats;
-  index_erase(id);
+  index_.erase(*index_.find(id));
   e = Entry{};  // frees the payload now
-  free_slots_.push_back(&e);
+  slots_.release(&e);
 }
 
 const TransferRecord& TransferScheduler::record(TransferId id) const {
@@ -718,11 +663,9 @@ void TransferScheduler::rethrow_if_aborted(TransferId id) const {
 
 Stats TransferScheduler::stats() const {
   std::vector<const Entry*> live;
-  for (const auto& block : blocks_) {
-    for (std::size_t i = 0; i < kSlotsPerBlock; ++i) {
-      if (block[i].rec.id != 0) live.push_back(&block[i]);
-    }
-  }
+  slots_.for_each([&live](const Entry& e) {
+    if (e.rec.id != 0) live.push_back(&e);
+  });
   sort_by_id(live);
   Stats total = discarded_stats_;
   for (const Entry* e : live) total += e->rec.stats;

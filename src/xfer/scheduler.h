@@ -34,13 +34,13 @@
 // instant. Pending and in-flight transfers sit in an indexed binary
 // min-heap keyed by (next event time, id); each entry knows its heap
 // position, so an event sifts in place. Entries live in a slot table of
-// fixed blocks, never moving, and a discard returns its slot to a free
-// list; an open-addressed index finds an entry by id in O(1). Each tenant
-// gets a lane per level on first use, and entries keep its index, so
-// opening and closing streams looks nothing up. A per-level key set
-// rejects duplicate live keys, and a per-level list holds the interrupted
-// transfers. After warm-up a steady stream of size-only drains allocates
-// nothing.
+// fixed blocks, never moving (common/slab.h), and a discard returns its
+// slot for reuse; an id index (common/id_index.h) finds an entry by id in
+// O(1). Each tenant gets a lane per level on first use, and entries keep
+// its index, so opening and closing streams looks nothing up. A per-level
+// key set rejects duplicate live keys, and a per-level list holds the
+// interrupted transfers. After warm-up a steady stream of size-only drains
+// allocates nothing.
 #pragma once
 
 #include <cstdint>
@@ -50,6 +50,8 @@
 #include <unordered_set>
 #include <vector>
 
+#include "common/id_index.h"
+#include "common/slab.h"
 #include "xfer/channel.h"
 #include "xfer/stats.h"
 #include "xfer/transfer.h"
@@ -153,7 +155,7 @@ class TransferScheduler {
   void annotate(TransferId id, std::uint64_t causal_id);
 
   const TransferRecord& record(TransferId id) const;
-  bool known(TransferId id) const { return find(id) != nullptr; }
+  bool known(TransferId id) const { return index_.find(id) != nullptr; }
   /// Throws the transfer's TransferError if it aborted; no-op otherwise.
   void rethrow_if_aborted(TransferId id) const;
 
@@ -239,21 +241,14 @@ class TransferScheduler {
   struct Bucket {
     TransferId id = 0;
     Entry* entry = nullptr;
+
+    bool empty() const { return id == 0; }
   };
 
   TransferId admit(int level, std::string key, std::uint64_t total_bytes,
                    std::uint64_t tenant, Bytes data, bool synthetic);
-  /// The live entry with this id, or nullptr.
-  Entry* find(TransferId id) const;
   /// The live entry with this id; a CheckError names `op` otherwise.
   Entry& entry(TransferId id, const char* op) const;
-  /// A free slot, taking a new block of slots when none is left.
-  Entry& take_slot();
-  std::size_t home(TransferId id) const {
-    return std::size_t((id * 0x9E3779B97F4A7C15ull) >> index_shift_);
-  }
-  void index_insert(TransferId id, Entry* e);
-  void index_erase(TransferId id);
   /// The index of `tenant`'s lane on `level`, opening it on first use.
   static std::uint32_t lane_index(Level& level, std::uint64_t tenant);
   /// Puts the entry where its state says in events_: pending at ready_at,
@@ -306,16 +301,13 @@ class TransferScheduler {
   double now_ = 0.0;
   TransferId next_id_ = 1;
   std::map<int, Level> levels_;
-  /// The slot table: entries in blocks of kSlotsPerBlock that never move
-  /// (callers hold record() references), and the slots discards freed.
-  /// Memory follows the peak of live transfers, not every id ever issued.
-  static constexpr std::size_t kSlotsPerBlock = 64;
-  std::vector<std::unique_ptr<Entry[]>> blocks_;
-  std::vector<Entry*> free_slots_;
-  /// Open-addressed id -> entry map with linear probing, at most half
-  /// full: it grows with the slot table, never in steady state.
-  std::vector<Bucket> index_;
-  int index_shift_ = 64;  // 64 - log2(index_.size())
+  /// The slot table: entries in blocks of 64 that never move (callers
+  /// hold record() references), reusing the slots discards freed. Memory
+  /// follows the peak of live transfers, not every id ever issued.
+  common::Slab<Entry, 64> slots_;
+  /// Id -> entry. It is sized with the slot table, so it grows when a new
+  /// block arrives and never in steady state.
+  common::IdIndex<Bucket> index_;
   /// Key-set nodes of discarded transfers, reused by later submits. A
   /// list, not one spare: the fleet discards a round's landed drains in
   /// one sweep and submits the next round's captures in another.

@@ -272,7 +272,7 @@ TEST(CheckpointV3, GreedyReplayAllocatesPerPageOnlyForTheFull) {
     const std::uint64_t allocations =
         aic::testing::heap_stats().allocations - before;
     ASSERT_TRUE(restored.memory.equals_space(space));
-    EXPECT_LE(allocations, n / mem::FrameStore::kFramesPerBlock +
+    EXPECT_LE(allocations, n / mem::kFramesPerBlock +
                                2 * std::bit_width(n) + 4)
         << n << " pages";
   }

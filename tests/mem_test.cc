@@ -439,7 +439,7 @@ TEST(Snapshot, CaptureAndMaterializeAllocateOncePerBlock) {
     AddressSpace s;
     s.allocate_range(0, n);
     const std::vector<PageId> ids = s.live_pages();
-    const std::size_t blocks = n / FrameStore::kFramesPerBlock;
+    const std::size_t blocks = n / kFramesPerBlock;
 
     std::uint64_t before = aic::testing::heap_stats().allocations;
     const Snapshot snap = Snapshot::capture_pages(s, ids);
@@ -475,8 +475,8 @@ TEST(AddressSpace, SteadyHaltCycleAllocatesNothingPerPage) {
       if (cycle == 0) continue;  // warm-up sizes the dirty list
       EXPECT_EQ(tracked - before, 0u) << n << " pages, cycle " << cycle;
       const std::size_t blocks =
-          (dirty.size() + FrameStore::kFramesPerBlock - 1) /
-          FrameStore::kFramesPerBlock;
+          (dirty.size() + kFramesPerBlock - 1) /
+          kFramesPerBlock;
       EXPECT_LE(after - tracked, blocks + 4)
           << n << " pages, cycle " << cycle;
       EXPECT_EQ(snap.page_count(), dirty.size());
