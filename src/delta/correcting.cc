@@ -32,10 +32,14 @@ std::size_t slot_of(std::uint64_t digest, unsigned bits) {
   return std::size_t((digest * 0x9E3779B97F4A7C15ULL) >> (64 - bits));
 }
 
-unsigned table_bits_for(std::size_t fingerprints,
-                        const CorrectingConfig& cfg) {
-  unsigned bits = cfg.table_bits_min;
-  while (bits < cfg.table_bits_max &&
+// Fingerprint-table sizing bounds (log2 slots). The table is sized to hold
+// the fingerprint count at <= 50% load within these bounds.
+constexpr unsigned kTableBitsMin = 8;
+constexpr unsigned kTableBitsMax = 20;
+
+unsigned table_bits_for(std::size_t fingerprints) {
+  unsigned bits = kTableBitsMin;
+  while (bits < kTableBitsMax &&
          (std::size_t(1) << bits) < fingerprints * 2) {
     ++bits;
   }
@@ -248,9 +252,6 @@ void order_for_in_place(std::vector<Op>& copies,
 CorrectingDeltaCodec::CorrectingDeltaCodec(CorrectingConfig config)
     : config_(config) {
   AIC_CHECK(config_.seed_len >= 4);
-  AIC_CHECK(config_.table_bits_min >= 1 &&
-            config_.table_bits_min <= config_.table_bits_max &&
-            config_.table_bits_max <= 30);
 }
 
 Bytes CorrectingDeltaCodec::encode(ByteSpan source, ByteSpan target,
@@ -260,23 +261,21 @@ Bytes CorrectingDeltaCodec::encode(ByteSpan source, ByteSpan target,
   local.input_bytes = target.size();
   local.source_bytes = source.size();
 
-  // Fingerprint the source at `stride` spacing into a single-slot
-  // keep-first table: lowest offset wins, so matching is deterministic
-  // and biased toward the front of the source. Fresh (non-rolling)
-  // window hashes cost one multiply per source byte total — half the
-  // rolling cost — and at stride == seed the table load factor stays
-  // low enough that collisions are rare.
-  const std::size_t stride =
-      config_.source_stride ? config_.source_stride : seed;
+  // Fingerprint the source at seed spacing into a single-slot keep-first
+  // table: lowest offset wins, so matching is deterministic and biased
+  // toward the front of the source. Fresh (non-rolling) window hashes
+  // cost one multiply per source byte total — half the rolling cost — and
+  // with non-overlapping windows the table load factor stays low enough
+  // that collisions are rare.
   std::vector<std::uint64_t> table;
   unsigned bits = 0;
   if (source.size() >= seed) {
     AIC_CHECK_MSG(source.size() < 0xFFFFFFFFu,
                   "correcting codec: source too large");
-    const std::size_t fingerprints = (source.size() - seed) / stride + 1;
-    bits = table_bits_for(fingerprints, config_);
+    const std::size_t fingerprints = (source.size() - seed) / seed + 1;
+    bits = table_bits_for(fingerprints);
     table.assign(std::size_t(1) << bits, 0);
-    for (std::size_t i = 0; i + seed <= source.size(); i += stride) {
+    for (std::size_t i = 0; i + seed <= source.size(); i += seed) {
       const std::uint64_t digest =
           KarpRabinHash::digest_of(source.data() + i, seed);
       std::uint64_t& slot = table[slot_of(digest, bits)];

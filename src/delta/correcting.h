@@ -48,17 +48,10 @@ namespace aic::delta {
 struct CorrectingConfig {
   /// Fingerprint window. Matches shorter than this are invisible; larger
   /// seeds mean fewer false candidates but miss shorter moved chunks.
+  /// The source is fingerprinted at seed_len spacing (non-overlapping
+  /// windows); the target is rolled one byte at a time, so moves of any
+  /// alignment are still found.
   std::size_t seed_len = 16;
-  /// Distance between fingerprinted source offsets; 0 means seed_len
-  /// (non-overlapping windows). The TARGET is always rolled one byte at
-  /// a time, so moves of arbitrary alignment are still found — a stride
-  /// only raises the minimum detectable run to seed_len + stride - 1
-  /// while cutting source hashing cost by the stride factor.
-  std::size_t source_stride = 0;
-  /// Fingerprint-table sizing bounds (log2 slots). The table is sized to
-  /// hold the fingerprint count at <= 50% load within these bounds.
-  unsigned table_bits_min = 8;
-  unsigned table_bits_max = 20;
 };
 
 class CorrectingDeltaCodec final : public DeltaCodec {

@@ -50,10 +50,9 @@ double AdmissionController::demand_bps(const workload::FleetJobSpec& job,
   const double delta_bytes = std::max(
       1.0, double(job.footprint_bytes) * job.dirty_fraction * factor);
   const double drain_s = delta_bytes / config_.capacity_bps;
-  const double w_star =
-      std::clamp(std::sqrt(2.0 * drain_s / (config_.lambda_total * factor)),
-                 config_.min_interval_s, config_.max_interval_s);
-  return delta_bytes / w_star;
+  return delta_bytes / young_daly_interval(drain_s, config_.lambda_total,
+                                           factor, config_.min_interval_s,
+                                           config_.max_interval_s);
 }
 
 double AdmissionController::width_factor(std::uint64_t job_id) const {

@@ -21,6 +21,8 @@
 // offers at round boundaries, sorted by arrival then job id).
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -35,20 +37,36 @@ struct Hub;
 
 namespace aic::fleet {
 
-struct AdmissionConfig {
-  /// Drain-channel capacity the fleet shares (bps).
-  double capacity_bps = 1.0e9;
+/// What a fleet chooses about admission (FleetConfig::admission).
+struct AdmissionPolicy {
   /// Fraction of capacity the steady-state demand may fill; the rest is
   /// head-room for drain bursts and retry traffic.
   double target_utilization = 0.7;
   /// FIFO backlog bound; offers past it are rejected.
   std::size_t queue_capacity = 64;
+};
+
+/// The policy plus the demand model's inputs, which a FleetScheduler takes
+/// from its own channel and deciders.
+struct AdmissionConfig : AdmissionPolicy {
+  /// Drain-channel capacity the fleet shares (bps).
+  double capacity_bps = 1.0e9;
   /// Per-job failure rate (all levels) used in the w* demand estimate.
   double lambda_total = 1.0e-3;
   /// Clamp on the estimated checkpoint interval (seconds).
   double min_interval_s = 30.0;
   double max_interval_s = 3600.0;
 };
+
+/// The Young/Daly interval w* = sqrt(2 * drain_s / (lambda * factor)),
+/// clamped to [min_s, max_s]; `factor` scales the failure exposure with
+/// the job's width. The admission estimate and the fleet's per-job decider
+/// both call it, so they compute the same bits.
+inline double young_daly_interval(double drain_s, double lambda,
+                                  double factor, double min_s, double max_s) {
+  return std::clamp(std::sqrt(2.0 * drain_s / (lambda * factor)), min_s,
+                    max_s);
+}
 
 enum class AdmissionDecision : std::uint8_t {
   kAdmitted = 0,

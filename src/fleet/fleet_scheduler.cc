@@ -23,6 +23,11 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr int kDrainLevel = 3;
+/// Local capture bandwidth: a capture of B bytes pauses the job for
+/// B / kCaptureBps seconds.
+constexpr double kCaptureBps = 4.0e9;
+/// EWMA smoothing of the observed drain time feeding the decider.
+constexpr double kEwmaAlpha = 0.3;
 
 /// Writes the decimal digits of `v` to end just before `end` and returns
 /// where they start.
@@ -73,16 +78,11 @@ FleetScheduler::FleetScheduler(FleetConfig config,
                                QosPolicy policy)
     : config_(config),
       policy_(std::move(policy)),
-      admission_([&config] {
-        AdmissionConfig a = config.admission;
-        // The controller's demand model must agree with the per-job
-        // deciders: same channel, same failure rate, same interval clamp.
-        a.capacity_bps = config.bandwidth_bps;
-        a.lambda_total = config.lambda_total;
-        a.min_interval_s = config.min_interval_s;
-        a.max_interval_s = config.max_interval_s;
-        return a;
-      }()),
+      // The controller's demand model must agree with the per-job
+      // deciders: same channel, same failure rate, same interval clamp.
+      admission_(AdmissionConfig{config.admission, config.bandwidth_bps,
+                                 config.lambda_total, config.min_interval_s,
+                                 config.max_interval_s}),
       sched_([&config] {
         xfer::TransferScheduler::Config c;
         c.chunk_bytes = config.chunk_bytes;
@@ -94,11 +94,7 @@ FleetScheduler::FleetScheduler(FleetConfig config,
   AIC_CHECK_MSG(config_.quantum_s > 0.0,
                 "round quantum must be positive, got " << config_.quantum_s);
   AIC_CHECK_MSG(config_.lambda_total > 0.0, "fleet lambda must be positive");
-  AIC_CHECK_MSG(config_.capture_bps > 0.0,
-                "capture bandwidth must be positive");
   AIC_CHECK_MSG(config_.full_every >= 1, "full_every must be >= 1");
-  AIC_CHECK_MSG(config_.ewma_alpha > 0.0 && config_.ewma_alpha <= 1.0,
-                "ewma_alpha must be in (0, 1], got " << config_.ewma_alpha);
   // Fleet drains are size-only: the level publishes nothing, so it has no
   // sink.
   sched_.add_level(kDrainLevel, {config_.bandwidth_bps, config_.latency_s},
@@ -194,10 +190,9 @@ std::uint64_t FleetScheduler::delta_bytes(const JobState& j) const {
 double FleetScheduler::w_star(const JobState& j) const {
   // Width scales the failure exposure: more nodes, proportionally more
   // strikes — the interval tightens as sqrt(1/factor) on a grow.
-  return std::clamp(
-      std::sqrt(2.0 * j.pred_drain_s /
-                (config_.lambda_total * size_factor(j))),
-      config_.min_interval_s, config_.max_interval_s);
+  return young_daly_interval(j.pred_drain_s, config_.lambda_total,
+                             size_factor(j), config_.min_interval_s,
+                             config_.max_interval_s);
 }
 
 FleetScheduler::Action FleetScheduler::next_action(JobState& j, double at,
@@ -415,7 +410,7 @@ void FleetScheduler::job_round(JobState& j, double t0, double t1,
     ++j.ckpt_seq;
     ++j.stats.checkpoints;
     if (full) ++j.stats.fulls;
-    j.busy_until = cursor + double(bytes) / config_.capture_bps;
+    j.busy_until = cursor + double(bytes) / kCaptureBps;
     Action a = next_action(j, cursor, ActionKind::kCapture);
     a.bytes = bytes;
     a.ckpt = j.ckpt_seq;
@@ -444,7 +439,7 @@ void FleetScheduler::apply_actions(const std::vector<Action>& merged) {
           // closes the chain at commit (or abort), so total == time-to-safe.
           cid = log->open(key, j.spec.tenant, a.time);
           log->add(cid, obs::CausalSegment::kCapture,
-                   double(a.bytes) / config_.capture_bps);
+                   double(a.bytes) / kCaptureBps);
           if (j.admission_wait_s > 0.0) {
             // Arrival -> activation wait, charged once to the job's first
             // chain: that checkpoint is the first state made safe, so the
@@ -508,8 +503,8 @@ bool FleetScheduler::settle_drain(JobState& j, double t1) {
   if (rec.state == xfer::TransferState::kCommitted) {
     const double tts = rec.commit_time - j.drain_capture_time;
     const double observed = rec.commit_time - rec.submit_time;
-    j.pred_drain_s = config_.ewma_alpha * observed +
-                     (1.0 - config_.ewma_alpha) * j.pred_drain_s;
+    j.pred_drain_s =
+        kEwmaAlpha * observed + (1.0 - kEwmaAlpha) * j.pred_drain_s;
     j.safe_progress = std::max(j.safe_progress, j.drain_progress);
     // Retention: the committed checkpoint enters the job's rewind
     // window; overflow picks the era-ladder victim, whose bytes leave

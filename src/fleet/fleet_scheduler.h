@@ -77,17 +77,12 @@ struct FleetConfig {
   /// downtime after a strike.
   double lambda_total = 1.0e-3;
   double restart_s = 10.0;
-  /// Local capture bandwidth: a capture of B bytes pauses the job for
-  /// B / capture_bps seconds.
-  double capture_bps = 4.0e9;
   /// Clamp on each job's decided checkpoint interval.
   double min_interval_s = 30.0;
   double max_interval_s = 3600.0;
   /// Chain-lite cadence: a full checkpoint every `full_every` captures
   /// (the first capture is always full).
   int full_every = 8;
-  /// EWMA smoothing of the observed drain time feeding the decider.
-  double ewma_alpha = 0.3;
   /// Safety horizon: the fleet stops at this virtual time even if jobs
   /// remain (a report of a truncated run says so via finished()).
   double max_virtual_s = 86400.0;
@@ -99,10 +94,10 @@ struct FleetConfig {
   /// 0 disables retention accounting (every commit is kept forever).
   std::size_t rewind_budget = 0;
 
-  /// Admission head-room policy. capacity_bps, lambda_total, and the
-  /// interval clamp are overwritten from the fleet fields above so the
-  /// controller's demand model matches the per-job deciders.
-  AdmissionConfig admission;
+  /// Admission head-room policy. The controller takes its capacity,
+  /// failure rate and interval clamp from the fleet fields above, so its
+  /// demand model matches the per-job deciders.
+  AdmissionPolicy admission;
 
   obs::Hub* obs = nullptr;
 };

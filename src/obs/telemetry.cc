@@ -12,12 +12,8 @@
 namespace aic::obs {
 namespace on = names;
 
-Telemetry::Telemetry(Hub& hub, TelemetryConfig config)
-    : hub_(hub),
-      store_(config.series_capacity),
-      sampler_(&hub.metrics, &store_, config.sampler),
-      slo_(config.slo_event_capacity),
-      causal_(config.causal) {
+Telemetry::Telemetry(Hub& hub)
+    : hub_(hub), sampler_(&hub.metrics, &store_) {
   m_evaluations_ = hub_.metrics.counter(on::kSloEvaluations);
   m_events_ = hub_.metrics.counter(on::kSloEvents);
   m_breaches_ = hub_.metrics.counter(on::kSloBreaches);

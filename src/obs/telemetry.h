@@ -42,13 +42,6 @@ class Counter;
 
 inline constexpr const char kTelemetrySchema[] = "aic-telemetry-v1";
 
-struct TelemetryConfig {
-  std::size_t series_capacity = TimeseriesStore::kDefaultCapacity;
-  Sampler::Config sampler;
-  std::size_t slo_event_capacity = SloEngine::kDefaultEventCapacity;
-  CausalLog::Config causal;
-};
-
 /// The frozen view of a telemetry plane (and the parse result of a
 /// recorded run).
 struct TelemetryDoc {
@@ -68,7 +61,9 @@ TelemetryDoc telemetry_from_json(std::string_view json);
 
 class Telemetry {
  public:
-  Telemetry(Hub& hub, TelemetryConfig config);
+  /// Every part at its defaults: TimeseriesStore::kDefaultCapacity points
+  /// per series, SloEngine::kDefaultEventCapacity events.
+  explicit Telemetry(Hub& hub);
 
   TimeseriesStore& store() { return store_; }
   const TimeseriesStore& store() const { return store_; }

@@ -102,10 +102,8 @@ FlightRecorder& Hub::enable_flight_recorder(std::size_t capacity,
   return *flight_;
 }
 
-Telemetry& Hub::enable_telemetry() { return enable_telemetry(TelemetryConfig{}); }
-
-Telemetry& Hub::enable_telemetry(const TelemetryConfig& config) {
-  if (!telemetry_) telemetry_ = std::make_unique<Telemetry>(*this, config);
+Telemetry& Hub::enable_telemetry() {
+  if (!telemetry_) telemetry_ = std::make_unique<Telemetry>(*this);
   return *telemetry_;
 }
 

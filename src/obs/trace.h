@@ -37,7 +37,6 @@ namespace aic::obs {
 
 class FlightRecorder;
 class Telemetry;
-struct TelemetryConfig;
 
 enum class TimeDomain : std::uint8_t { kVirtual = 0, kWall = 1 };
 
@@ -136,12 +135,10 @@ struct Hub {
 
   /// Attaches the telemetry plane (telemetry.h): a TimeseriesStore fed by
   /// a Sampler over `metrics`, an SLO engine, and a causal time-to-safe
-  /// log, driven by Telemetry::tick from a virtual clock. Idempotent (the
-  /// first call's config wins); returns the plane. Enable before
-  /// constructing the components that will feed it — instruments resolve
-  /// the plane once, at attach time.
+  /// log, driven by Telemetry::tick from a virtual clock. Idempotent;
+  /// returns the plane. Enable before constructing the components that
+  /// will feed it — instruments resolve the plane once, at attach time.
   Telemetry& enable_telemetry();
-  Telemetry& enable_telemetry(const TelemetryConfig& config);
 
   /// The attached telemetry plane, or nullptr when none was enabled.
   Telemetry* telemetry() const { return telemetry_.get(); }

@@ -5,18 +5,23 @@
 #include "common/check.h"
 
 namespace aic::storage {
+namespace {
+
+/// Members of the L2 RAID-5 partner group.
+constexpr std::size_t kRaidNodes = 4;
+
+}  // namespace
 
 MultiLevelStore::MultiLevelStore(MultiLevelConfig config)
     : config_(config),
       local_(config.local_bps),
-      raid_(config.raid_nodes, config.raid_bps),
+      raid_(kRaidNodes, config.raid_bps),
       remote_(config.remote_bps),
       raid_sink_(raid_),
       remote_sink_(remote_),
       xfer_(config.xfer) {
-  xfer_.add_level(2, {config.raid_bps, config.raid_latency_s}, &raid_sink_);
-  xfer_.add_level(3, {config.remote_bps, config.remote_latency_s},
-                  &remote_sink_);
+  xfer_.add_level(2, {config.raid_bps}, &raid_sink_);
+  xfer_.add_level(3, {config.remote_bps}, &remote_sink_);
 }
 
 DrainTicket MultiLevelStore::put_checkpoint_async(
@@ -175,7 +180,7 @@ void MultiLevelStore::reclaim_checkpoint(
 void MultiLevelStore::repair_raid_group() {
   // Replacement members join empty; re-striping happens via
   // reseed_from_remote().
-  raid_ = Raid5Group(config_.raid_nodes, config_.raid_bps);
+  raid_ = Raid5Group(kRaidNodes, config_.raid_bps);
   for (std::uint64_t i = 0; i < next_index_; ++i) raid_.erase(key_for(i));
 }
 

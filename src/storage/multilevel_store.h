@@ -41,12 +41,8 @@ struct MultiLevelConfig {
   double local_bps = 100.0e6;
   double raid_bps = 400.0e6;    // per-node share of the group bandwidth
   double remote_bps = 2.0e6;    // B3
-  std::size_t raid_nodes = 4;
-  /// Per-message latency of the L2/L3 channels (seconds, charged per
-  /// chunk by the transfer engine).
-  double raid_latency_s = 0.0;
-  double remote_latency_s = 0.0;
-  /// Chunking and retry/backoff policy of the L2/L3 drains.
+  /// Chunking and retry/backoff policy of the L2/L3 drains. The L2/L3
+  /// channels charge no per-message latency.
   xfer::TransferScheduler::Config xfer;
 };
 

@@ -9,6 +9,10 @@
 namespace aic::workload {
 namespace {
 
+/// Fraction of the post-resize footprint rewritten by the migration burst
+/// (state repacking across the new node set).
+constexpr double kMigrateFraction = 0.25;
+
 /// Independent deterministic stream for resize `segment`'s migration (and
 /// the segment's mutation seed): everything a reconfiguration does to the
 /// space is a pure function of (base seed, segment index).
@@ -22,8 +26,6 @@ std::uint64_t segment_seed(std::uint64_t base_seed, std::size_t segment) {
 ElasticWorkload::ElasticWorkload(ElasticProfile profile)
     : profile_(std::move(profile)) {
   AIC_CHECK_MSG(profile_.base_cores >= 1, "elastic job needs >= 1 core");
-  AIC_CHECK(profile_.migrate_fraction >= 0.0 &&
-            profile_.migrate_fraction <= 1.0);
   double prev = 0.0;
   for (const ResizeEvent& ev : profile_.resizes) {
     AIC_CHECK_MSG(ev.at_progress > prev,
@@ -144,9 +146,9 @@ void ElasticWorkload::apply_resize(mem::AddressSpace& space) {
     }
   }
   // The repacking burst: redistribution rewrites slices of the retained
-  // pages, dirtying a migrate_fraction share of the new footprint.
+  // pages, dirtying a kMigrateFraction share of the new footprint.
   const std::uint64_t touches =
-      std::uint64_t(profile_.migrate_fraction * double(new_fp));
+      std::uint64_t(kMigrateFraction * double(new_fp));
   for (std::uint64_t i = 0; i < touches; ++i) {
     const mem::PageId id = rng.uniform_u64(new_fp);
     if (!space.contains(id)) {

@@ -41,9 +41,6 @@ struct ElasticProfile {
   std::uint64_t base_cores = 4;
   /// Strictly ascending in at_progress; cores >= 1.
   std::vector<ResizeEvent> resizes;
-  /// Fraction of the post-resize footprint rewritten by the migration
-  /// burst (state repacking across the new node set).
-  double migrate_fraction = 0.25;
 };
 
 class ElasticWorkload final : public Workload {

@@ -8,6 +8,14 @@
 #include "common/units.h"
 
 namespace aic::workload {
+namespace {
+
+/// Fleet job work per second of trace runtime.
+constexpr double kWorkScale = 0.01;
+/// Mean per-interval dirty fraction of a fleet job.
+constexpr double kMeanDirtyFraction = 0.10;
+
+}  // namespace
 
 CandidateStudy run_candidate_study(int system_id, double days,
                                    std::uint64_t seed) {
@@ -32,12 +40,9 @@ std::vector<FleetJobSpec> lanl_fleet_jobs(const FleetMixConfig& config) {
   AIC_CHECK_MSG(config.jobs > 0, "fleet mix needs at least one job");
   AIC_CHECK_MSG(config.tenants > 0, "fleet mix needs at least one tenant");
   AIC_CHECK(config.arrival_horizon_s > 0.0);
-  AIC_CHECK(config.work_scale > 0.0);
   AIC_CHECK(config.min_work_s > 0.0 &&
             config.max_work_s >= config.min_work_s);
   AIC_CHECK(config.pages_per_process > 0);
-  AIC_CHECK(config.mean_dirty_fraction > 0.0 &&
-            config.mean_dirty_fraction <= 1.0);
 
   // Harvest candidate jobs from the five systems' rectified logs, cycling
   // with fresh per-cycle seeds until the mix is filled. The rectified
@@ -97,7 +102,7 @@ std::vector<FleetJobSpec> lanl_fleet_jobs(const FleetMixConfig& config) {
     job.arrival_s = max_submit > 0.0
                         ? raw.submit / max_submit * config.arrival_horizon_s
                         : 0.0;
-    job.work_s = std::clamp(raw.runtime * config.work_scale,
+    job.work_s = std::clamp(raw.runtime * kWorkScale,
                             config.min_work_s, config.max_work_s);
     const double pages_jitter = rng.uniform(0.5, 1.5);
     job.footprint_bytes =
@@ -107,7 +112,7 @@ std::vector<FleetJobSpec> lanl_fleet_jobs(const FleetMixConfig& config) {
         kPageSize;
     // Lognormal-ish jitter around the mean, clamped into (0, 1].
     const double dirty =
-        config.mean_dirty_fraction * std::exp(rng.normal(0.0, 0.35));
+        kMeanDirtyFraction * std::exp(rng.normal(0.0, 0.35));
     job.dirty_fraction = std::clamp(dirty, 0.005, 1.0);
     job.system_id = raw.system_id;
     job.processes = raw.processes;

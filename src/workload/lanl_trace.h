@@ -74,16 +74,14 @@ struct FleetMixConfig {
   /// Arrivals are spread over [0, arrival_horizon_s) preserving the
   /// trace's relative submit order.
   double arrival_horizon_s = 120.0;
-  /// Job work: trace runtime * work_scale, clamped to [min_work_s,
+  /// Job work: a hundredth of the trace runtime, clamped to [min_work_s,
   /// max_work_s] — LANL runtimes are hours-to-days, a fleet bench wants
   /// minutes of virtual time.
-  double work_scale = 0.01;
   double min_work_s = 30.0;
   double max_work_s = 600.0;
   /// Footprint: pages per process, jittered ±50% per job.
   std::uint64_t pages_per_process = 2048;
-  /// Mean per-interval dirty fraction (lognormal-jittered per job).
-  double mean_dirty_fraction = 0.10;
+  /// Each job's per-interval dirty fraction is 0.10, lognormal-jittered.
 };
 
 /// Deterministic fleet job mix drawn from the LANL candidate population.
