@@ -47,38 +47,7 @@ RestartEngine::Restored RestartEngine::restore(
     prev_seq = f.sequence;
 
     try {
-      switch (f.kind) {
-        case CheckpointKind::kFull: {
-          out.memory = mem::Snapshot();
-          for (auto& [id, bytes] : decode_raw_pages(f.payload))
-            out.memory.put_page(id, bytes);
-          break;
-        }
-        case CheckpointKind::kIncremental: {
-          for (PageId id : f.freed_pages) out.memory.erase_page(id);
-          for (auto& [id, bytes] : decode_raw_pages(f.payload))
-            out.memory.put_page(id, bytes);
-          break;
-        }
-        case CheckpointKind::kIncrementalDelta:
-        case CheckpointKind::kIncrementalCorrecting: {
-          // Deltas reference page versions as of the previous checkpoint,
-          // which is exactly the accumulated state before this file — apply
-          // the payload first, then the frees (a moved page's source may be
-          // freed in the same checkpoint). The two kinds differ only in
-          // which record kinds the payload may contain; the decoder
-          // dispatches per record either way.
-          if (mode == Mode::kInPlace) {
-            compressor.decompress_in_place(f.payload, out.memory);
-            for (PageId id : f.freed_pages) out.memory.erase_page(id);
-          } else {
-            mem::Snapshot pages = compressor.decompress(f.payload, out.memory);
-            for (PageId id : f.freed_pages) out.memory.erase_page(id);
-            pages.overlay_onto(out.memory);
-          }
-          break;
-        }
-      }
+      replay(f, compressor, mode, out.memory);
     } catch (const CheckError& e) {
       throw CheckError("restoring sequence " + std::to_string(f.sequence) +
                        " (" + to_string(f.kind) + "): " + e.what());
@@ -88,6 +57,39 @@ RestartEngine::Restored RestartEngine::restore(
     out.sequence = f.sequence;
   }
   return out;
+}
+
+void RestartEngine::replay(const CheckpointFile& f,
+                           const delta::PageAlignedCompressor& compressor,
+                           Mode mode, mem::Snapshot& state) {
+  switch (f.kind) {
+    case CheckpointKind::kFull:
+      state = mem::Snapshot();
+      for (const auto& [id, bytes] : decode_raw_pages(f.payload))
+        state.put_page(id, bytes);
+      return;
+    case CheckpointKind::kIncremental: {
+      // Decoded first, so a bad payload leaves `state` untouched.
+      const auto pages = decode_raw_pages(f.payload);
+      for (PageId id : f.freed_pages) state.erase_page(id);
+      for (const auto& [id, bytes] : pages) state.put_page(id, bytes);
+      return;
+    }
+    case CheckpointKind::kIncrementalDelta:
+    case CheckpointKind::kIncrementalCorrecting:
+      // Deltas reference page versions as of the previous checkpoint, which
+      // is exactly `state`. The two kinds differ only in which record kinds
+      // the payload may contain; the decoder dispatches per record.
+      if (mode == Mode::kInPlace) {
+        compressor.decompress_in_place(f.payload, state);
+        for (PageId id : f.freed_pages) state.erase_page(id);
+      } else {
+        mem::Snapshot pages = compressor.decompress(f.payload, state);
+        for (PageId id : f.freed_pages) state.erase_page(id);
+        pages.overlay_onto(state);
+      }
+      return;
+  }
 }
 
 CheckpointChain::CheckpointChain(Config config)

@@ -77,6 +77,16 @@ class RestartEngine {
   static Restored restore(const std::vector<CheckpointFile>& chain,
                           const delta::PageAlignedCompressor& compressor,
                           Mode mode = Mode::kInPlace);
+
+  /// Folds one record into the replay state `state`. A full resets it to
+  /// the record's pages. A raw incremental drops its freed pages, then
+  /// writes its pages. A delta applies its payload first and then drops
+  /// its freed pages, because a moved page's source may be freed in the
+  /// same checkpoint. Throws CheckError on a payload that does not decode
+  /// against `state`.
+  static void replay(const CheckpointFile& file,
+                     const delta::PageAlignedCompressor& compressor, Mode mode,
+                     mem::Snapshot& state);
 };
 
 /// Stateful chain manager: owns the accumulated previous-checkpoint state,

@@ -3,6 +3,7 @@
 #include <optional>
 #include <sstream>
 
+#include "ckpt/checkpointer.h"
 #include "common/check.h"
 #include "xfer/transfer.h"
 
@@ -103,9 +104,11 @@ class Walker {
   }
 
   void content(std::size_t index, const CheckpointFile& f) {
-    // A mid-chain full checkpoint depends on nothing before it, so it
-    // re-anchors replay even after earlier faults.
+    const bool raw = f.kind == CheckpointKind::kFull ||
+                     f.kind == CheckpointKind::kIncremental;
     if (f.kind == CheckpointKind::kFull) {
+      // A mid-chain full checkpoint depends on nothing before it, so it
+      // re-anchors replay even after earlier faults.
       if (!f.freed_pages.empty()) {
         std::ostringstream os;
         os << "full checkpoint lists " << f.freed_pages.size()
@@ -113,53 +116,33 @@ class Walker {
         emit(Severity::kError, CheckCode::kFreedInFull, index, f.sequence,
              os.str());
       }
-      try {
-        accumulated_ = mem::Snapshot();
-        for (auto& [id, bytes] : ckpt::decode_raw_pages(f.payload))
-          accumulated_.put_page(id, bytes);
-        replay_ok_ = true;
-      } catch (const CheckError& e) {
-        emit(Severity::kError, CheckCode::kPayloadCorrupt, index, f.sequence,
-             std::string("raw-page payload undecodable: ") + e.what());
-        replay_ok_ = false;
-      }
-      return;
-    }
-
-    if (!replay_ok_) {
+    } else if (!replay_ok_) {
       emit(Severity::kWarning, CheckCode::kReplaySkipped, index, f.sequence,
            "pre-state unknown after an earlier fault; freed-page and "
            "payload checks skipped");
       return;
-    }
-
-    for (mem::PageId id : f.freed_pages) {
-      if (!accumulated_.contains(id)) {
-        std::ostringstream os;
-        os << "freed page " << id << " was not live at the previous "
-           << "checkpoint";
-        emit(Severity::kError, CheckCode::kFreedPageUnknown, index,
-             f.sequence, os.str());
+    } else {
+      for (mem::PageId id : f.freed_pages) {
+        if (!accumulated_.contains(id)) {
+          std::ostringstream os;
+          os << "freed page " << id << " was not live at the previous "
+             << "checkpoint";
+          emit(Severity::kError, CheckCode::kFreedPageUnknown, index,
+               f.sequence, os.str());
+        }
       }
     }
 
     try {
-      if (f.kind == CheckpointKind::kIncremental) {
-        auto pages = ckpt::decode_raw_pages(f.payload);
-        for (mem::PageId id : f.freed_pages) accumulated_.erase_page(id);
-        for (auto& [id, bytes] : pages) accumulated_.put_page(id, bytes);
-      } else {
-        mem::Snapshot pages = compressor_.decompress(f.payload, accumulated_);
-        for (mem::PageId id : f.freed_pages) accumulated_.erase_page(id);
-        pages.overlay_onto(accumulated_);
-      }
+      ckpt::RestartEngine::replay(f, compressor_,
+                                  ckpt::RestartEngine::Mode::kOutOfPlace,
+                                  accumulated_);
+      replay_ok_ = true;
     } catch (const CheckError& e) {
-      const CheckCode code = f.kind == CheckpointKind::kIncremental
-                                 ? CheckCode::kPayloadCorrupt
-                                 : CheckCode::kDeltaUndecodable;
-      emit(Severity::kError, code, index, f.sequence,
-           std::string(f.kind == CheckpointKind::kIncremental
-                           ? "raw-page payload undecodable: "
+      emit(Severity::kError,
+           raw ? CheckCode::kPayloadCorrupt : CheckCode::kDeltaUndecodable,
+           index, f.sequence,
+           std::string(raw ? "raw-page payload undecodable: "
                            : "delta payload undecodable against the "
                              "accumulated pre-state: ") +
                e.what());

@@ -66,11 +66,11 @@ enum class CheckCode : std::uint8_t {
 
 const char* to_string(CheckCode code);
 
-/// True when `filename` names a staged transfer partial (an in-progress
-/// xfer drain: "<key>" + xfer::kPartialSuffix). Such files in a chain
-/// directory are NOT corruption — they are the resumable leftovers of a
-/// drain interrupted mid-chunk and must be excluded from chain
-/// verification (fsck reports them as a distinct diagnostic instead).
+/// True when `filename` names an unfinished record ("<key>" +
+/// xfer::kPartialSuffix): one a file-backed store had not finished
+/// writing. Such files in a chain directory are NOT corruption — the
+/// committed record is "<key>" — and are excluded from chain verification
+/// (fsck reports them as a distinct diagnostic instead).
 bool is_partial_transfer_name(std::string_view filename);
 
 struct Diagnostic {
