@@ -90,8 +90,15 @@ for b in build/bench/*; do
   [[ -z "$filter" || "$name" =~ $filter ]] || continue
   echo "-- bench: $name"
   args=()
-  [[ "$name" == micro_* && "$smoke" == 1 ]] &&
-    args+=(--benchmark_min_time=0.01)
+  # Full-size micro runs record five repetitions per benchmark, so
+  # aic_benchdiff judges each on a spread rather than on one sample.
+  if [[ "$name" == micro_* ]]; then
+    if [[ "$smoke" == 1 ]]; then
+      args+=(--benchmark_min_time=0.01)
+    else
+      args+=(--benchmark_repetitions=5)
+    fi
+  fi
   env_smoke=()
   [[ "$smoke" == 1 ]] && env_smoke=(AIC_BENCH_SMOKE=1)
   if ! env "${env_smoke[@]}" AIC_BENCH_OUT="$out_dir" \

@@ -39,8 +39,10 @@ enum class TransferState : std::uint8_t {
 
 const char* to_string(TransferState state);
 
-/// Naming convention for staged partials that land on a filesystem (used
-/// by aic_fsck to tell an in-progress drain from a corrupt record).
+/// Suffix naming a record a file-backed store has not finished writing:
+/// "<key>.partial" becomes "<key>" only once the write is complete. The
+/// library itself writes no files; aic_fsck uses the suffix to tell such a
+/// leftover from a corrupt record.
 inline constexpr const char kPartialSuffix[] = ".partial";
 
 struct RetryPolicy {

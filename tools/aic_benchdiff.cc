@@ -8,9 +8,12 @@
 // (written by bench::Session) or directories holding any number of them;
 // directory pairs are matched by filename. Metrics are paired by name and
 // judged with a bootstrap confidence interval over the recorded samples —
-// a metric is only flagged when its whole 95% CI clears the threshold, so
-// single noisy samples don't page anyone. --check just validates that
-// every named record parses against the aic-bench-v1 schema.
+// a metric is only flagged when its whole 95% CI clears the threshold. A
+// metric with one sample per side is a point comparison against the
+// threshold, so one noisy sample can flag it: record repetitions
+// (scripts/bench.sh runs the micro benches five times) before reading a
+// timing verdict. --check just validates that every named record parses
+// against the aic-bench-v1 schema.
 //
 // Options:
 //   --threshold T   relative-change threshold (default 0.10)

@@ -65,10 +65,11 @@ int main(int argc, char** argv) {
   }
   if (inputs.empty()) return usage(argv[0]);
 
-  // Expand directories, keep explicit files as given. Staged transfer
-  // partials ("<key>.partial" — an interrupted drain's resumable leftover)
-  // are never chain records: they are reported as their own diagnostic and
-  // excluded from verification rather than flagged as corruption.
+  // Expand directories, keep explicit files as given. Partials
+  // ("<key>.partial" — a record a file-backed store had not finished
+  // writing) are never chain records: they are reported as their own
+  // diagnostic and excluded from verification rather than flagged as
+  // corruption.
   std::vector<fs::path> record_paths;
   std::vector<fs::path> partial_paths;
   for (const fs::path& input : inputs) {
@@ -117,9 +118,8 @@ int main(int argc, char** argv) {
   if (!quiet) {
     for (const fs::path& p : partial_paths) {
       std::cout << p.string()
-                << ": NOTE [staged-partial] in-progress transfer staging "
-                   "file — resumable drain leftover, not part of the "
-                   "committed chain\n";
+                << ": NOTE [staged-partial] unfinished record write — "
+                   "not part of the committed chain\n";
     }
     for (const auto& d : report.diagnostics) {
       std::cout << record_paths[std::min(d.chain_index,

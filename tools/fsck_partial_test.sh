@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
 # Tool-level test for aic_fsck's staged-partial semantics.
 #
-# A "<key>.partial" file in a chain directory is the staging leftover of an
-# in-progress (interrupted, resumable) transfer drain — NOT corruption. The
-# same garbage bytes under a non-partial name ARE corruption. aic_fsck must
-# tell the two apart: distinct diagnostic + exit 0 for the partial, error +
-# exit 1 for the impostor record.
+# A "<key>.partial" file in a chain directory is a record a file-backed
+# store had not finished writing — NOT corruption. The same garbage bytes
+# under a non-partial name ARE corruption. aic_fsck must tell the two
+# apart: distinct diagnostic + exit 0 for the partial, error + exit 1 for
+# the impostor record.
 #
 # Usage: fsck_partial_test.sh <path-to-aic_fsck>
 set -u
