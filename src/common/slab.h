@@ -23,7 +23,7 @@ class Slab {
       free_.pop_back();
       return object;
     }
-    if (unused_ == 0) {
+    if (blocks_.empty() || unused_ == 0) {  // empty after a move, too
       blocks_.push_back(std::make_unique_for_overwrite<Block>());
       unused_ = kPerBlock;
     }
