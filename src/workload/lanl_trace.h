@@ -81,7 +81,6 @@ struct FleetMixConfig {
   double max_work_s = 600.0;
   /// Footprint: pages per process, jittered ±50% per job.
   std::uint64_t pages_per_process = 2048;
-  /// Each job's per-interval dirty fraction is 0.10, lognormal-jittered.
 };
 
 /// Deterministic fleet job mix drawn from the LANL candidate population.
