@@ -19,6 +19,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/ring.h"
 #include "control/cost_model.h"
 #include "model/system_profile.h"
 #include "predictor/hot_page_sampler.h"
@@ -87,7 +88,7 @@ class AicDecider {
   obs::Counter* boundary_picks_ = nullptr;
   obs::Histogram* newton_iters_ = nullptr;
   obs::Histogram* w_star_ = nullptr;
-  std::vector<double> c3_window_;
+  common::Ring<double> c3_window_;
   double prev_c3_ = -1.0;
   int decline_streak_ = 0;
 };

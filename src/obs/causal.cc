@@ -47,10 +47,10 @@ CausalSegment CausalChain::dominant() const {
 
 CausalLog::CausalLog() : CausalLog(Config{}) {}
 
-CausalLog::CausalLog(Config config) : config_(config) {
+CausalLog::CausalLog(Config config)
+    : config_(config), recent_(config.ring_capacity) {
   AIC_CHECK_MSG(config_.ring_capacity >= 1, "causal ring capacity >= 1");
   AIC_CHECK_MSG(config_.top_k >= 1, "causal top_k must be >= 1");
-  ring_.reserve(config_.ring_capacity);
 }
 
 std::uint64_t CausalLog::open(std::string label, std::uint64_t tenant,
@@ -83,7 +83,6 @@ void CausalLog::finish(std::uint64_t id, double total_s, bool aborted) {
   c.closed = true;
   c.aborted = aborted;
   c.total_s = std::max(0.0, total_s);
-  ++closed_total_;
   if (!aborted) {
     // Keep top_ sorted slowest-first; insert then trim.
     auto pos = std::upper_bound(top_.begin(), top_.end(), c,
@@ -94,12 +93,7 @@ void CausalLog::finish(std::uint64_t id, double total_s, bool aborted) {
     top_.insert(pos, c);
     if (top_.size() > config_.top_k) top_.resize(config_.top_k);
   }
-  if (ring_.size() < config_.ring_capacity) {
-    ring_.push_back(std::move(c));
-  } else {
-    ring_[next_] = std::move(c);
-    next_ = (next_ + 1) % config_.ring_capacity;
-  }
+  recent_.push(std::move(c));
 }
 
 void CausalLog::close_total(std::uint64_t id, double total_s, bool aborted) {
@@ -121,12 +115,7 @@ void CausalLog::close_at(std::uint64_t id, double t_now, bool aborted) {
 
 std::vector<CausalChain> CausalLog::recent() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<CausalChain> out;
-  out.reserve(ring_.size());
-  for (std::size_t i = 0; i < ring_.size(); ++i) {
-    out.push_back(ring_[(next_ + i) % ring_.size()]);
-  }
-  return out;
+  return recent_.items();
 }
 
 std::vector<CausalChain> CausalLog::slowest() const {
@@ -141,7 +130,7 @@ std::uint64_t CausalLog::opened() const {
 
 std::uint64_t CausalLog::closed() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return closed_total_;
+  return recent_.pushed();
 }
 
 std::size_t CausalLog::open_count() const {

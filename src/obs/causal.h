@@ -40,6 +40,8 @@
 #include <string>
 #include <vector>
 
+#include "common/ring.h"
+
 namespace aic::obs {
 
 enum class CausalSegment : std::uint8_t {
@@ -112,11 +114,9 @@ class CausalLog {
   const Config config_;
   mutable std::mutex mutex_;
   std::uint64_t next_id_ = 1;
-  std::uint64_t closed_total_ = 0;
   std::map<std::uint64_t, CausalChain> open_;
-  std::vector<CausalChain> ring_;
-  std::size_t next_ = 0;
-  std::vector<CausalChain> top_;  // sorted slowest-first
+  common::Ring<CausalChain> recent_;  // every closed chain passes through
+  std::vector<CausalChain> top_;      // sorted slowest-first
 };
 
 }  // namespace aic::obs

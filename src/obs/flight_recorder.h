@@ -41,6 +41,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/ring.h"
 #include "obs/slo.h"
 #include "obs/trace.h"
 
@@ -93,14 +94,9 @@ class FlightRecorder {
   static void uninstall_terminate_hook();
 
  private:
-  const std::size_t capacity_;
   mutable std::mutex mutex_;
-  std::vector<TraceEvent> ring_;
-  std::size_t next_ = 0;  // overwrite cursor once the ring is full
-  std::uint64_t total_ = 0;
-  std::vector<SloEvent> slo_ring_;
-  std::size_t slo_next_ = 0;
-  std::uint64_t slo_total_ = 0;
+  common::Ring<TraceEvent> ring_;
+  common::Ring<SloEvent> slo_ring_{kSloCapacity};
   const MetricsRegistry* metrics_ = nullptr;
   std::string dump_path_ = "postmortem.json";
 };

@@ -8,27 +8,19 @@
 namespace aic::obs {
 
 Series::Series(std::string name, std::size_t capacity)
-    : name_(std::move(name)), capacity_(capacity) {
-  AIC_CHECK_MSG(capacity_ >= 1, "series '" << name_ << "' needs capacity");
-  ring_.reserve(capacity_);
+    : name_(std::move(name)), ring_(capacity) {
+  AIC_CHECK_MSG(capacity >= 1, "series '" << name_ << "' needs capacity");
 }
 
 void Series::push(double t, double v) {
   std::lock_guard<std::mutex> lock(mutex_);
   if (!ring_.empty()) {
-    const SamplePoint& newest =
-        ring_[(next_ + ring_.size() - 1) % ring_.size()];
-    AIC_CHECK_MSG(t >= newest.t, "series '" << name_
-                                            << "' time went backwards: "
-                                            << newest.t << " -> " << t);
+    const double newest = ring_.newest().t;
+    AIC_CHECK_MSG(t >= newest, "series '" << name_
+                                          << "' time went backwards: "
+                                          << newest << " -> " << t);
   }
-  if (ring_.size() < capacity_) {
-    ring_.push_back({t, v});
-  } else {
-    ring_[next_] = {t, v};
-    next_ = (next_ + 1) % capacity_;
-  }
-  ++total_;
+  ring_.push({t, v});
 }
 
 std::size_t Series::size() const {
@@ -38,35 +30,31 @@ std::size_t Series::size() const {
 
 std::uint64_t Series::total_pushed() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return total_;
+  return ring_.pushed();
 }
 
 std::uint64_t Series::evicted() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return total_ - ring_.size();
+  return ring_.pushed() - ring_.size();
 }
 
 SamplePoint Series::last() const {
   std::lock_guard<std::mutex> lock(mutex_);
   AIC_CHECK_MSG(!ring_.empty(), "series '" << name_ << "' is empty");
-  return ring_[(next_ + ring_.size() - 1) % ring_.size()];
+  return ring_.newest();
 }
 
 std::vector<SamplePoint> Series::points() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<SamplePoint> out;
-  out.reserve(ring_.size());
-  for (std::size_t i = 0; i < ring_.size(); ++i) {
-    out.push_back(ring_[(next_ + i) % ring_.size()]);
-  }
-  return out;
+  return ring_.items();
 }
 
 std::vector<SamplePoint> Series::points_in(double from_t, double to_t) const {
+  std::lock_guard<std::mutex> lock(mutex_);
   std::vector<SamplePoint> out;
-  for (const SamplePoint& p : points()) {
+  ring_.for_each([&](const SamplePoint& p) {
     if (p.t >= from_t && p.t <= to_t) out.push_back(p);
-  }
+  });
   return out;
 }
 

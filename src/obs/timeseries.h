@@ -38,6 +38,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/ring.h"
 #include "obs/metrics.h"
 
 namespace aic::obs {
@@ -55,7 +56,7 @@ class Series {
   Series(std::string name, std::size_t capacity);
 
   const std::string& name() const { return name_; }
-  std::size_t capacity() const { return capacity_; }
+  std::size_t capacity() const { return ring_.capacity(); }
 
   /// Appends one point; evicts the oldest once the ring is full. Points
   /// must arrive in nondecreasing t (CheckError otherwise — a time-series
@@ -78,11 +79,8 @@ class Series {
 
  private:
   const std::string name_;
-  const std::size_t capacity_;
   mutable std::mutex mutex_;
-  std::vector<SamplePoint> ring_;
-  std::size_t next_ = 0;  // overwrite cursor once the ring is full
-  std::uint64_t total_ = 0;
+  common::Ring<SamplePoint> ring_;
 };
 
 /// Named series registry; get-or-create, stable handles (node ownership),

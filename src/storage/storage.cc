@@ -18,45 +18,45 @@ double transfer_seconds(std::uint64_t bytes, double bandwidth_bps,
   return latency_s + double(bytes) / bandwidth_bps;
 }
 
-// ---------- LocalDisk ----------
+// ---------- MemoryTarget ----------
 
-LocalDisk::LocalDisk(double bandwidth_bps, double latency_s)
+MemoryTarget::MemoryTarget(double bandwidth_bps, double latency_s)
     : bandwidth_(bandwidth_bps), latency_(latency_s) {
   AIC_CHECK(bandwidth_bps > 0.0);
 }
 
-double LocalDisk::put(const std::string& key, Bytes data) {
-  AIC_CHECK_MSG(!failed_, "write to failed local disk");
+double MemoryTarget::put(const std::string& key, Bytes data) {
+  AIC_CHECK_MSG(!failed_, "write to failed storage target");
   const double t = transfer_seconds(data.size(), bandwidth_, latency_);
   objects_[key] = std::move(data);
   return t;
 }
 
-std::optional<Bytes> LocalDisk::get(const std::string& key) const {
+std::optional<Bytes> MemoryTarget::get(const std::string& key) const {
   if (failed_) return std::nullopt;
   auto it = objects_.find(key);
   if (it == objects_.end()) return std::nullopt;
   return it->second;
 }
 
-double LocalDisk::read_seconds(const std::string& key) const {
+double MemoryTarget::read_seconds(const std::string& key) const {
   auto it = objects_.find(key);
   AIC_CHECK_MSG(!failed_ && it != objects_.end(),
                 "read_seconds on missing object " << key);
   return transfer_seconds(it->second.size(), bandwidth_, latency_);
 }
 
-bool LocalDisk::erase(const std::string& key) {
+bool MemoryTarget::erase(const std::string& key) {
   return objects_.erase(key) > 0;
 }
 
-std::uint64_t LocalDisk::stored_bytes() const {
+std::uint64_t MemoryTarget::stored_bytes() const {
   std::uint64_t total = 0;
   for (const auto& [k, v] : objects_) total += v.size();
   return total;
 }
 
-void LocalDisk::replace() {
+void MemoryTarget::replace() {
   failed_ = false;
   objects_.clear();
 }
@@ -271,41 +271,6 @@ std::uint64_t Raid5Group::rebuild_node(std::size_t node) {
     }
   }
   return rebuilt;
-}
-
-// ---------- RemoteStore ----------
-
-RemoteStore::RemoteStore(double bandwidth_bps, double latency_s)
-    : bandwidth_(bandwidth_bps), latency_(latency_s) {
-  AIC_CHECK(bandwidth_bps > 0.0);
-}
-
-double RemoteStore::put(const std::string& key, Bytes data) {
-  const double t = transfer_seconds(data.size(), bandwidth_, latency_);
-  objects_[key] = std::move(data);
-  return t;
-}
-
-std::optional<Bytes> RemoteStore::get(const std::string& key) const {
-  auto it = objects_.find(key);
-  if (it == objects_.end()) return std::nullopt;
-  return it->second;
-}
-
-double RemoteStore::read_seconds(const std::string& key) const {
-  auto it = objects_.find(key);
-  AIC_CHECK_MSG(it != objects_.end(), "read_seconds on missing object " << key);
-  return transfer_seconds(it->second.size(), bandwidth_, latency_);
-}
-
-bool RemoteStore::erase(const std::string& key) {
-  return objects_.erase(key) > 0;
-}
-
-std::uint64_t RemoteStore::stored_bytes() const {
-  std::uint64_t total = 0;
-  for (const auto& [k, v] : objects_) total += v.size();
-  return total;
 }
 
 }  // namespace aic::storage

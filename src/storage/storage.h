@@ -1,12 +1,14 @@
 // Simulated checkpoint storage targets with bandwidth accounting.
 //
-// The paper's three levels map onto three targets:
-//   L1 — LocalDisk        (node-local disk or RAM disk)
+// The paper's three levels map onto two kinds of target:
+//   L1 — MemoryTarget     (node-local disk or RAM disk, named LocalDisk;
+//                          lost with its node)
 //   L2 — Raid5Group       (main memory of a RAID-5 group of partner nodes;
 //                          we implement real striping + parity so a single
 //                          node loss is recoverable, matching [11, 18])
-//   L3 — RemoteStore      (Lustre-like remote file system; per-node
-//                          bandwidth B3 shrinks as the system scales)
+//   L3 — MemoryTarget     (Lustre-like remote file system, named
+//                          RemoteStore; per-node bandwidth B3 shrinks as
+//                          the system scales, and it never fails in-model)
 //
 // Targets store named objects (checkpoint files) in memory and report the
 // time a write/read of that size takes at the configured bandwidth; the
@@ -36,10 +38,6 @@ class StorageTarget {
  public:
   virtual ~StorageTarget() = default;
 
-  virtual std::string name() const = 0;
-  /// Write bandwidth in bytes/second (reads use the same figure; the
-  /// paper's model sets r_k = c_k).
-  virtual double bandwidth_bps() const = 0;
   virtual bool available() const = 0;
 
   /// Stores an object; returns the simulated duration in seconds.
@@ -54,13 +52,13 @@ class StorageTarget {
   virtual std::uint64_t stored_bytes() const = 0;
 };
 
-/// Node-local disk (L1). Lost entirely on a total node failure.
-class LocalDisk final : public StorageTarget {
+/// A map of whole objects moved at one bandwidth (reads use the write
+/// figure; the paper's model sets r_k = c_k). L1 fails it with its node
+/// and replaces it empty; L3 never fails it.
+class MemoryTarget final : public StorageTarget {
  public:
-  explicit LocalDisk(double bandwidth_bps, double latency_s = 0.0);
+  explicit MemoryTarget(double bandwidth_bps, double latency_s = 0.0);
 
-  std::string name() const override { return "local-disk"; }
-  double bandwidth_bps() const override { return bandwidth_; }
   bool available() const override { return !failed_; }
 
   double put(const std::string& key, Bytes data) override;
@@ -69,9 +67,9 @@ class LocalDisk final : public StorageTarget {
   bool erase(const std::string& key) override;
   std::uint64_t stored_bytes() const override;
 
-  /// Total node failure: the disk and its contents become unavailable.
+  /// Total node failure: the target and its contents become unavailable.
   void fail() { failed_ = true; }
-  /// Node replaced: disk back online, contents gone.
+  /// Node replaced: target back online, contents gone.
   void replace();
 
  private:
@@ -80,6 +78,13 @@ class LocalDisk final : public StorageTarget {
   bool failed_ = false;
   std::map<std::string, Bytes> objects_;
 };
+
+/// L1, the node-local disk.
+using LocalDisk = MemoryTarget;
+/// L3, the remote parallel file system: a level-3 failure loses everything
+/// below it, and L3 is the recovery source, but its per-node bandwidth is
+/// the scarce resource.
+using RemoteStore = MemoryTarget;
 
 /// RAID-5 group of `n` partner-node memories (L2): objects are striped
 /// across n-1 data shares plus one rotating parity share; any single member
@@ -91,8 +96,6 @@ class Raid5Group final : public StorageTarget {
   Raid5Group(std::size_t nodes, double bandwidth_bps,
              std::size_t stripe_unit = 64 * 1024, double latency_s = 0.0);
 
-  std::string name() const override { return "raid5-group"; }
-  double bandwidth_bps() const override { return bandwidth_; }
   /// Available while at most one member is down.
   bool available() const override { return failed_nodes() <= 1; }
 
@@ -129,29 +132,6 @@ class Raid5Group final : public StorageTarget {
   // shares_[node][key] -> concatenated share units for that object.
   std::vector<std::map<std::string, Bytes>> shares_;
   std::map<std::string, ObjectMeta> meta_;
-};
-
-/// Remote parallel file system (L3). Never fails in-model (a level-3
-/// failure means everything below it is lost, and L3 is the recovery
-/// source), but its per-node bandwidth is the scarce resource.
-class RemoteStore final : public StorageTarget {
- public:
-  explicit RemoteStore(double bandwidth_bps, double latency_s = 0.0);
-
-  std::string name() const override { return "remote-store"; }
-  double bandwidth_bps() const override { return bandwidth_; }
-  bool available() const override { return true; }
-
-  double put(const std::string& key, Bytes data) override;
-  std::optional<Bytes> get(const std::string& key) const override;
-  double read_seconds(const std::string& key) const override;
-  bool erase(const std::string& key) override;
-  std::uint64_t stored_bytes() const override;
-
- private:
-  double bandwidth_;
-  double latency_;
-  std::map<std::string, Bytes> objects_;
 };
 
 }  // namespace aic::storage

@@ -25,8 +25,7 @@ class TargetSink final : public xfer::ObjectSink {
 
   void commit(const std::string& key, Bytes object) override {
     AIC_CHECK_MSG(target_->available(),
-                  "commit to unavailable target " << target_->name()
-                                                  << " for " << key);
+                  "cannot commit " << key << ": target unavailable");
     (void)target_->put(key, std::move(object));
   }
 
