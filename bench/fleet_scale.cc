@@ -37,12 +37,14 @@ constexpr double kPerJobBps = 2.0e7;
 // and each run's wall is split into the fleet's round phases. The wall of
 // building that point's job mix is tracked there too.
 // Smaller points finish in milliseconds, too short to gate. The 100k point
-// only runs in the full sweep, once, with the same phase split: its wall
-// over the 10k median is the control plane's scaling ratio (linear scaling
-// reads 10x), and its phases show which part of a round grows faster.
+// only runs in the full sweep, kScaleRatioReps times, with the same phase
+// split: its median wall over the 10k median is the control plane's
+// scaling ratio (linear scaling reads 10x), and its phases show which part
+// of a round grows faster. Both points report their median run.
 constexpr std::size_t kWallSampledJobs = 10000;
 constexpr int kWallReps = 5;
 constexpr std::size_t kScaleRatioJobs = 100000;
+constexpr int kScaleRatioReps = 3;
 
 fleet::FleetConfig fleet_config(int shards, std::size_t jobs) {
   fleet::FleetConfig cfg;
@@ -200,21 +202,23 @@ int main() {
   std::vector<ScaleResult> results;
   for (const Mix& mix : mixes) {
     const std::size_t jobs = mix.jobs.size();
-    ScaleResult r = run_scale(mix, 1);
     const std::string tag = "fleet.jobs" + std::to_string(jobs);
     if (jobs == kWallSampledJobs) {
       session.sample(tag + ".mix_s", "s", mix.build_s);
-      std::vector<ScaleResult> reps{r};
-      for (int i = 1; i < kWallReps; ++i) reps.push_back(run_scale(mix, 1));
-      for (const ScaleResult& rep : reps) sample_wall(tag, rep);
-      std::sort(reps.begin(), reps.end(),
-                [](const ScaleResult& a, const ScaleResult& b) {
-                  return a.wall_s < b.wall_s;
-                });
-      r = reps[reps.size() / 2];  // the table shows the median run
-    } else if (jobs == kScaleRatioJobs) {
-      sample_wall(tag, r);
     }
+    const int wall_reps = jobs == kWallSampledJobs  ? kWallReps
+                          : jobs == kScaleRatioJobs ? kScaleRatioReps
+                                                    : 0;
+    std::vector<ScaleResult> reps{run_scale(mix, 1)};
+    for (int i = 1; i < wall_reps; ++i) reps.push_back(run_scale(mix, 1));
+    if (wall_reps > 0) {
+      for (const ScaleResult& rep : reps) sample_wall(tag, rep);
+    }
+    std::sort(reps.begin(), reps.end(),
+              [](const ScaleResult& a, const ScaleResult& b) {
+                return a.wall_s < b.wall_s;
+              });
+    const ScaleResult& r = reps[reps.size() / 2];  // the median run
     results.push_back(r);
     const auto& rep = r.report;
 
@@ -246,21 +250,18 @@ int main() {
   table.print_csv(std::cout);
   double base_wall = 0.0;
   for (const ScaleResult& r : results) {
-    if (r.jobs == kWallSampledJobs) {
-      base_wall = r.wall_s;
-      const fleet::FleetScheduler::PhaseWall& p = r.phases;
-      const double sum =
-          p.admission_s + p.shards_s + p.merge_s + p.apply_s + p.boundary_s;
-      std::cout << "phase wall " << kWallSampledJobs
-                << " jobs (median run): admission "
-                << TextTable::num(p.admission_s, 3) << " s, shards "
-                << TextTable::num(p.shards_s, 3) << " s, merge "
-                << TextTable::num(p.merge_s, 3) << " s, apply "
-                << TextTable::num(p.apply_s, 3) << " s, boundary "
-                << TextTable::num(p.boundary_s, 3) << " s, sum "
-                << TextTable::num(sum / r.wall_s, 3)
-                << " of the wall\n";
-    }
+    if (r.jobs != kWallSampledJobs && r.jobs != kScaleRatioJobs) continue;
+    const fleet::FleetScheduler::PhaseWall& p = r.phases;
+    const double sum =
+        p.admission_s + p.shards_s + p.merge_s + p.apply_s + p.boundary_s;
+    std::cout << "phase wall " << r.jobs << " jobs (median run): admission "
+              << TextTable::num(p.admission_s, 3) << " s, shards "
+              << TextTable::num(p.shards_s, 3) << " s, merge "
+              << TextTable::num(p.merge_s, 3) << " s, apply "
+              << TextTable::num(p.apply_s, 3) << " s, boundary "
+              << TextTable::num(p.boundary_s, 3) << " s, sum "
+              << TextTable::num(sum / r.wall_s, 3) << " of the wall\n";
+    if (r.jobs == kWallSampledJobs) base_wall = r.wall_s;
     if (r.jobs == kScaleRatioJobs && base_wall > 0.0) {
       std::cout << "wall ratio " << kScaleRatioJobs << "/" << kWallSampledJobs
                 << " jobs: " << TextTable::num(r.wall_s / base_wall, 1)

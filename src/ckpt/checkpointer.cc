@@ -227,12 +227,10 @@ void CheckpointChain::prune_sequence(std::uint64_t victim_sequence) {
     // [latest full <= successor .. successor] and rewrite the successor as
     // a full checkpoint. By induction every earlier prune left a full
     // right after its gap, so the replay slice is always contiguous.
-    std::size_t start = idx + 2;
-    while (start > 0 && files_[start - 1].kind != CheckpointKind::kFull)
-      --start;
-    AIC_CHECK_MSG(start > 0, "pruned chain lost its full checkpoint");
+    const std::optional<std::size_t> full = latest_full(idx + 2);
+    AIC_CHECK_MSG(full.has_value(), "pruned chain lost its full checkpoint");
     const std::int64_t before = std::int64_t(succ.serialized_size());
-    std::vector<CheckpointFile> slice(files_.begin() + (start - 1),
+    std::vector<CheckpointFile> slice(files_.begin() + *full,
                                       files_.begin() + (idx + 2));
     RestartEngine::Restored restored =
         RestartEngine::restore(slice, compressor_.serial());
@@ -271,12 +269,10 @@ RestartEngine::Restored CheckpointChain::restore_at(
     }
   }
   AIC_CHECK_MSG(end > 0, "no retained checkpoint with sequence " << sequence);
-  // Find the latest full checkpoint at or before the target and replay
-  // from there.
-  std::size_t start = end;
-  while (start > 0 && files_[start - 1].kind != CheckpointKind::kFull) --start;
-  AIC_CHECK_MSG(start > 0, "chain has no full checkpoint");
-  std::vector<CheckpointFile> chain(files_.begin() + (start - 1),
+  // Replay from the latest full checkpoint at or before the target.
+  const std::optional<std::size_t> full = latest_full(end);
+  AIC_CHECK_MSG(full.has_value(), "chain has no full checkpoint");
+  std::vector<CheckpointFile> chain(files_.begin() + *full,
                                     files_.begin() + std::ptrdiff_t(end));
   return RestartEngine::restore(chain, compressor_.serial(), mode);
 }
@@ -293,24 +289,31 @@ void CheckpointChain::rollback_to(std::uint64_t sequence) {
   rewind_.drop_newer_than(sequence);
 }
 
+std::optional<std::size_t> CheckpointChain::latest_full(
+    std::size_t end) const {
+  while (end > 0) {
+    if (files_[--end].kind == CheckpointKind::kFull) return end;
+  }
+  return std::nullopt;
+}
+
 std::uint64_t CheckpointChain::restart_chain_bytes() const {
+  const std::optional<std::size_t> full = latest_full(files_.size());
+  if (!full.has_value()) return 0;
   std::uint64_t total = 0;
-  std::size_t start = files_.size();
-  while (start > 0 && files_[start - 1].kind != CheckpointKind::kFull) --start;
-  if (start == 0) return 0;
-  for (std::size_t i = start - 1; i < files_.size(); ++i)
+  for (std::size_t i = *full; i < files_.size(); ++i)
     total += files_[i].serialized_size();
   return total;
 }
 
 std::uint64_t CheckpointChain::truncate_before_last_full() {
-  std::size_t start = files_.size();
-  while (start > 0 && files_[start - 1].kind != CheckpointKind::kFull) --start;
-  if (start <= 1) return 0;  // nothing before the last full (or no full yet)
+  const std::optional<std::size_t> full = latest_full(files_.size());
+  // Nothing before the last full (or no full yet).
+  if (!full.has_value() || *full == 0) return 0;
   std::uint64_t reclaimed = 0;
-  for (std::size_t i = 0; i + 1 < start; ++i)
+  for (std::size_t i = 0; i < *full; ++i)
     reclaimed += files_[i].serialized_size();
-  files_.erase(files_.begin(), files_.begin() + (start - 1));
+  files_.erase(files_.begin(), files_.begin() + *full);
   return reclaimed;
 }
 

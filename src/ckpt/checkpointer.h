@@ -222,6 +222,9 @@ class CheckpointChain {
   /// Discards the retained file with this sequence, re-anchoring its
   /// successor as a full checkpoint first when needed.
   void prune_sequence(std::uint64_t victim_sequence);
+  /// Index of the newest full checkpoint in files_[0, end), where a
+  /// replay of files_[end - 1] starts; nullopt when there is none.
+  std::optional<std::size_t> latest_full(std::size_t end) const;
 
   Config config_;
   delta::ParallelPageCompressor compressor_;

@@ -90,14 +90,6 @@ void append_chain(std::ostringstream& os, const CausalChain& c) {
   os << "}}";
 }
 
-void append_event(std::ostringstream& os, const SloEvent& e) {
-  os << "{\"rule\":\"" << json_escape(e.rule) << "\",\"kind\":\""
-     << to_string(e.kind) << "\",\"t\":" << json_number(e.t)
-     << ",\"value\":" << json_number(e.value)
-     << ",\"burn_short\":" << json_number(e.burn_short)
-     << ",\"burn_long\":" << json_number(e.burn_long) << "}";
-}
-
 void append_status(std::ostringstream& os, const SloStatus& s) {
   os << "{\"rule\":\"" << json_escape(s.rule) << "\",\"series\":\""
      << json_escape(s.series) << "\",\"evaluated\":"
@@ -191,7 +183,7 @@ std::string telemetry_to_json(const TelemetryDoc& doc) {
   os << "],\"events\":[";
   for (std::size_t i = 0; i < doc.events.size(); ++i) {
     if (i) os << ",";
-    append_event(os, doc.events[i]);
+    append_json(os, doc.events[i]);
   }
   os << "]},\"chains\":{\"slowest\":[";
   for (std::size_t i = 0; i < doc.slowest.size(); ++i) {

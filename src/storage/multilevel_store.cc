@@ -99,26 +99,24 @@ std::size_t MultiLevelStore::unfinished_drains() const {
   return xfer_.runnable_count() + xfer_.interrupted_count();
 }
 
+void MultiLevelStore::forget(std::uint64_t index) {
+  const std::string key = key_for(index);
+  local_.erase(key);
+  raid_.erase(key);
+  remote_.erase(key);
+  if (auto it = drains_.find(index); it != drains_.end()) {
+    for (const auto& id : {it->second.raid, it->second.remote}) {
+      if (id.has_value() && xfer_.known(*id)) xfer_.discard(*id);
+    }
+    drains_.erase(it);
+  }
+  is_full_.erase(index);
+}
+
 void MultiLevelStore::truncate_to(std::uint64_t count) {
   AIC_CHECK_MSG(count <= next_index_,
                 "truncate_to(" << count << ") beyond " << next_index_);
-  for (std::uint64_t i = count; i < next_index_; ++i) {
-    const std::string key = key_for(i);
-    local_.erase(key);
-    raid_.erase(key);
-    remote_.erase(key);
-    auto it = drains_.find(i);
-    if (it != drains_.end()) {
-      if (it->second.raid.has_value() && xfer_.known(*it->second.raid)) {
-        xfer_.discard(*it->second.raid);
-      }
-      if (it->second.remote.has_value() && xfer_.known(*it->second.remote)) {
-        xfer_.discard(*it->second.remote);
-      }
-      drains_.erase(it);
-    }
-    is_full_.erase(i);
-  }
+  for (std::uint64_t i = count; i < next_index_; ++i) forget(i);
   next_index_ = count;
 }
 
@@ -128,19 +126,7 @@ void MultiLevelStore::reclaim_checkpoint(
                 "reclaim_checkpoint(" << index << ") would drop the newest "
                                       << "checkpoint (have " << next_index_
                                       << ")");
-  const std::string key = key_for(index);
-  local_.erase(key);
-  raid_.erase(key);
-  remote_.erase(key);
-  auto it = drains_.find(index);
-  if (it != drains_.end()) {
-    if (it->second.raid.has_value() && xfer_.known(*it->second.raid))
-      xfer_.discard(*it->second.raid);
-    if (it->second.remote.has_value() && xfer_.known(*it->second.remote))
-      xfer_.discard(*it->second.remote);
-    drains_.erase(it);
-  }
-  is_full_.erase(index);
+  forget(index);
 
   if (reanchored != nullptr) {
     const std::uint64_t succ = index + 1;
@@ -181,7 +167,6 @@ void MultiLevelStore::repair_raid_group() {
   // Replacement members join empty; re-striping happens via
   // reseed_from_remote().
   raid_ = Raid5Group(kRaidNodes, config_.raid_bps);
-  for (std::uint64_t i = 0; i < next_index_; ++i) raid_.erase(key_for(i));
 }
 
 std::optional<MultiLevelStore::Recovery> MultiLevelStore::recover_from(

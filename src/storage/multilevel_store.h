@@ -148,6 +148,9 @@ class MultiLevelStore {
   static std::string key_for(std::uint64_t index) {
     return "ckpt-" + std::to_string(index);
   }
+  /// Erases checkpoint `index` at every level, discards its live drains
+  /// and drops its bookkeeping.
+  void forget(std::uint64_t index);
   /// Newest index such that keys [start-of-chain .. index] are all present
   /// on `target`, where start-of-chain is the newest full checkpoint.
   std::optional<Recovery> recover_from(const StorageTarget& target,
