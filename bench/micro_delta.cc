@@ -1,8 +1,9 @@
 // Microbenchmarks (google-benchmark): real wall-clock throughput of the
 // delta codecs across page-similarity levels, plus the page-aligned
 // checkpoint compressor end to end, the put path's CRC-32C and RAID-5
-// striping, the restart path's record parse and chain replay, and the
-// mem layer's halt capture and materialize. These
+// striping, the restart path's record parse, recovery and chain replay,
+// the thread pool's wake, and the mem layer's halt capture and
+// materialize. These
 // measure the host's actual compressor speed — the experiment harness uses
 // deterministic work units instead, calibrated to the paper's testbed
 // class.
@@ -11,6 +12,7 @@
 #include <malloc.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
@@ -21,6 +23,8 @@
 
 #include "ckpt/checkpointer.h"
 #include "common/crc32c.h"
+#include "common/restore_pool.h"
+#include "common/thread_pool.h"
 #include "common/rng.h"
 #include "common/units.h"
 #include "delta/correcting.h"
@@ -31,6 +35,7 @@
 #include "mem/address_space.h"
 #include "mem/snapshot.h"
 #include "obs/clock.h"
+#include "storage/multilevel_store.h"
 #include "storage/storage.h"
 
 // ---- binary-wide heap accounting for the restore-memory metric ----
@@ -637,7 +642,75 @@ void BM_RestoreGreedy(benchmark::State& state) {
   restore_bench(state, *greedy_chain(std::size_t(state.range(0))),
                 ckpt::RestartEngine::Mode::kInPlace);
 }
-BENCHMARK(BM_RestoreGreedy)->Arg(64)->Arg(512);
+// 2048 pages is restart-libquantum's image: RestartEngine::restore
+// replays it by page range on the restore pool (64 and 512 stay serial).
+BENCHMARK(BM_RestoreGreedy)->Arg(64)->Arg(512)->Arg(2048);
+
+/// A node-loss recovery at perfbench's shape: a greedy chain of a
+/// 2048-page full and 47 incrementals (64 edited pages each, 16 of them
+/// rewritten unchanged), stored through a MultiLevelStore whose node then
+/// fails at level 2 (L1 gone, one RAID member rebuilt), read back with
+/// recover(): the RAID reassembly and the parse of every record.
+void BM_Recover(benchmark::State& state) {
+  constexpr std::size_t kPages = 2048, kRecords = 48;
+  Rng rng(0x71C);
+  mem::AddressSpace space;
+  space.allocate_range(0, kPages);
+  for (mem::PageId id = 0; id < kPages; ++id) {
+    space.mutate(id, [&](std::span<std::uint8_t> b) {
+      for (auto& x : b) x = std::uint8_t(rng());
+    });
+  }
+  ckpt::CheckpointChain chain;
+  storage::MultiLevelStore store;
+  for (std::size_t i = 0; i < kRecords; ++i) {
+    if (i > 0) {
+      space.protect_all();
+      for (int e = 0; e < 64; ++e) {
+        const mem::PageId id = rng.uniform_u64(kPages);
+        const Bytes edit = random_bytes(rng, e < 16 ? 0 : 16);
+        space.write(id, rng.uniform_u64(kPageSize - 16), edit);
+      }
+    }
+    chain.capture(space, {}, double(i));
+    store.put_checkpoint(chain.files().back());
+  }
+  Rng failure(42);
+  store.apply_failure(2, failure);
+  std::uint64_t bytes = 0;
+  for (const ckpt::CheckpointFile& f : chain.files())
+    bytes += f.serialized_size();
+  for (auto _ : state) {
+    auto rec = store.recover();
+    benchmark::DoNotOptimize(rec);
+  }
+  state.SetBytesProcessed(std::int64_t(state.iterations()) *
+                          std::int64_t(bytes));
+}
+BENCHMARK(BM_Recover);
+
+/// What common::ThreadPool::run costs up to the start of its task, with
+/// the worker parked: the wake a pool user pays per dispatch. The time is
+/// run() to the task's first instruction; the worker is given 200 us to
+/// park again between iterations, outside the clock.
+void BM_ThreadPoolWake(benchmark::State& state) {
+  common::ThreadPool pool(1);
+  std::atomic<std::uint64_t> started{0};
+  for (auto _ : state) {
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+    started.store(0, std::memory_order_relaxed);
+    const std::uint64_t t0 = obs::wall_now_ns();
+    pool.run([&started] {
+      started.store(obs::wall_now_ns(), std::memory_order_release);
+    });
+    std::uint64_t t1;
+    while ((t1 = started.load(std::memory_order_acquire)) == 0) {
+    }
+    state.SetIterationTime(double(t1 - t0) * 1e-9);
+  }
+  pool.wait_idle();
+}
+BENCHMARK(BM_ThreadPoolWake)->UseManualTime();
 
 // ---- mem: the halt's tracking and capture, and the restart's materialize
 // Both report wall ns per page over the measured steps only (the snapshot
@@ -679,11 +752,15 @@ void BM_HaltCapture(benchmark::State& state) {
 }
 BENCHMARK(BM_HaltCapture)->Arg(2048);
 
-/// The last step of a restart: a fresh AddressSpace from the image.
+/// The last step of a restart: a fresh AddressSpace from the image. In a
+/// restart the replay has started the restore pool, which materialize
+/// then copies on; it is started here too, so the figure does not depend
+/// on which benchmarks ran before.
 void BM_Materialize(benchmark::State& state) {
   const std::size_t pages = std::size_t(state.range(0));
   Rng rng(0x4A18);
   const mem::Snapshot image = mem::Snapshot::capture(random_space(pages, rng));
+  common::restore_for_each(2, 2, [](std::size_t) {});
   std::uint64_t ns = 0;
   for (auto _ : state) {
     const std::uint64_t t0 = obs::wall_now_ns();

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "ckpt/checkpoint_file.h"
@@ -73,21 +74,40 @@ class RestartEngine {
 
   /// `chain` must start with a kFull file; later files must have strictly
   /// increasing sequence numbers. Delta files are decoded against the
-  /// accumulated state, mirroring capture.
-  static Restored restore(const std::vector<CheckpointFile>& chain,
+  /// accumulated state, mirroring capture. A chain whose full record holds
+  /// enough pages is replayed by page range on the restore pool
+  /// (common/restore_pool.h); the result, and every error message, is the
+  /// serial replay's.
+  static Restored restore(std::span<const CheckpointFile> chain,
                           const delta::PageAlignedCompressor& compressor,
                           Mode mode = Mode::kInPlace);
 
-  /// Folds one record into the replay state `state`. A full resets it to
-  /// the record's pages. A raw incremental drops its freed pages, then
-  /// writes its pages. A delta applies its payload first and then drops
-  /// its freed pages, because a moved page's source may be freed in the
-  /// same checkpoint. Throws CheckError on a payload that does not decode
-  /// against `state`.
+  /// Folds the pages of one record that lie in `range` into the replay
+  /// state `state`. A full resets it to the record's pages. A raw
+  /// incremental drops its freed pages, then writes its pages. A delta
+  /// applies its payload first and then drops its freed pages, because a
+  /// moved page's source may be freed in the same checkpoint. A move in
+  /// `range` must have its source there too. Throws CheckError on a
+  /// payload that does not decode against `state`.
   static void replay(const CheckpointFile& file,
                      const delta::PageAlignedCompressor& compressor, Mode mode,
-                     mem::Snapshot& state);
+                     mem::Snapshot& state, delta::PageRange range = {});
 };
+
+namespace detail {
+
+/// restore() with the page-id space cut into `ranges` ranges, cut from the
+/// full record's ids and replayed by up to `participants` threads (the
+/// caller included). One range is the serial replay. So is any chain the
+/// serial replay would reject, and any chain with a move whose source lies
+/// in another range: those restore through it, so that their result and
+/// messages are the serial path's.
+RestartEngine::Restored restore_ranges(
+    std::span<const CheckpointFile> chain,
+    const delta::PageAlignedCompressor& compressor, RestartEngine::Mode mode,
+    std::size_t ranges, std::size_t participants);
+
+}  // namespace detail
 
 /// Stateful chain manager: owns the accumulated previous-checkpoint state,
 /// decides full-vs-incremental, and keeps the replay chain.

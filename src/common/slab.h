@@ -41,6 +41,26 @@ class Slab {
   /// Objects in the blocks taken so far, handed out or not.
   std::size_t capacity() const { return blocks_.size() * kPerBlock; }
 
+  /// Takes over every block of `other`, which is left empty. Its objects
+  /// do not move, so pointers to them stay valid and belong to this slab
+  /// from here on; its released objects and the unused rest of its newest
+  /// block are handed out here later, as are this slab's own.
+  void adopt(Slab& other) {
+    if (other.blocks_.empty()) return;
+    if (!blocks_.empty()) {
+      // Only the newest block hands out fresh objects, and other's newest
+      // is about to be it: this one's unused rest goes to the free list.
+      for (; unused_ > 0; --unused_)
+        free_.push_back(&blocks_.back()->objects[kPerBlock - unused_]);
+    }
+    for (auto& block : other.blocks_) blocks_.push_back(std::move(block));
+    free_.insert(free_.end(), other.free_.begin(), other.free_.end());
+    unused_ = other.unused_;
+    other.blocks_.clear();
+    other.free_.clear();
+    other.unused_ = 0;
+  }
+
   /// Calls fn on every object of every block, handed out or not.
   template <class Fn>
   void for_each(Fn&& fn) const {

@@ -22,21 +22,19 @@ void merge_codec_stats(CodecStats& acc, const CodecStats& st) {
   acc.add_ops += st.add_ops;
 }
 
-/// One record of a page-aligned payload, as both decoders read it.
-struct PageRecord {
-  PageId id;
-  std::uint8_t kind;
-  PageId src;     // cdelta only; == id for in-frame deltas
-  ByteSpan body;  // raw/delta/cdelta bytes, a view into the payload
-};
+void check_raw_body(const PageRecord& rec) {
+  AIC_CHECK_MSG(rec.body.size() == kPageSize,
+                "raw page " << rec.id << " body is " << rec.body.size()
+                            << " bytes, expected " << kPageSize);
+}
 
-/// Reads every record of a page-aligned payload and checks all that needs
-/// no previous image: the count, each kind, the trailing bytes, and that
-/// no page appears twice (a second record would overwrite the first's
-/// page, or decode against it). Encoders write ids in ascending order, so
-/// the duplicate check costs one compare per record; only an out-of-order
-/// payload pays for a set of ids.
-std::vector<PageRecord> read_records(ByteSpan payload) {
+}  // namespace
+
+// A second record for a page would overwrite the first's page, or decode
+// against it. Encoders write ids in ascending order, so the duplicate
+// check costs one compare per record; only an out-of-order payload pays
+// for a set of ids.
+std::vector<PageRecord> read_page_records(ByteSpan payload) {
   ByteReader r(payload);
   const std::uint64_t count = r.varint();
   // Each record costs at least two bytes (id varint + kind); a hostile
@@ -72,14 +70,6 @@ std::vector<PageRecord> read_records(ByteSpan payload) {
   }
   return recs;
 }
-
-void check_raw_body(const PageRecord& rec) {
-  AIC_CHECK_MSG(rec.body.size() == kPageSize,
-                "raw page " << rec.id << " body is " << rec.body.size()
-                            << " bytes, expected " << kPageSize);
-}
-
-}  // namespace
 
 MoveIndex::MoveIndex(const mem::Snapshot& prev) {
   by_content_.reserve(prev.page_count());
@@ -205,8 +195,15 @@ DeltaResult PageAlignedCompressor::compress(
 
 mem::Snapshot PageAlignedCompressor::decompress(
     ByteSpan payload, const mem::Snapshot& prev) const {
+  return decompress(read_page_records(payload), prev, PageRange{});
+}
+
+mem::Snapshot PageAlignedCompressor::decompress(
+    std::span<const PageRecord> records, const mem::Snapshot& prev,
+    PageRange range) const {
   mem::Snapshot out;
-  for (const PageRecord& rec : read_records(payload)) {
+  for (const PageRecord& rec : records) {
+    if (!range.contains(rec.id)) continue;
     switch (rec.kind) {
       case kKindSame:
         AIC_CHECK_MSG(prev.contains(rec.id),
@@ -243,14 +240,19 @@ mem::Snapshot PageAlignedCompressor::decompress(
 
 void PageAlignedCompressor::decompress_in_place(ByteSpan payload,
                                                 mem::Snapshot& state) const {
-  const std::vector<PageRecord> recs = read_records(payload);
+  decompress_in_place(read_page_records(payload), state, PageRange{});
+}
 
+void PageAlignedCompressor::decompress_in_place(
+    std::span<const PageRecord> recs, mem::Snapshot& state,
+    PageRange range) const {
   // Pass 1: index the last cross-frame reader of every source page. A
   // frame whose old content is still needed by a later move record must
   // be stashed before it is overwritten — and can be dropped the moment
   // its last reader has run.
   std::unordered_map<PageId, std::size_t> last_reader;
   for (std::size_t i = 0; i < recs.size(); ++i) {
+    if (!range.contains(recs[i].id)) continue;
     if (recs[i].kind == kKindCDelta && recs[i].src != recs[i].id) {
       // `state` is pristine here, so this is the same "source must exist in
       // the previous image" rule decompress() enforces — checked now because
@@ -271,6 +273,7 @@ void PageAlignedCompressor::decompress_in_place(ByteSpan payload,
   Bytes scratch;
   for (std::size_t i = 0; i < recs.size(); ++i) {
     const PageRecord& rec = recs[i];
+    if (!range.contains(rec.id)) continue;
     if (auto lr = last_reader.find(rec.id);
         lr != last_reader.end() && lr->second > i && !stash.contains(rec.id) &&
         state.contains(rec.id)) {

@@ -31,6 +31,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -48,6 +49,28 @@ struct DirtyPage {
   PageId id;
   ByteSpan bytes;  // exactly kPageSize bytes, owned by the caller
 };
+
+/// The page ids [first, last], both included: one participant's share of
+/// the page-id space in a restore split by range. The default is every id.
+struct PageRange {
+  PageId first = 0;
+  PageId last = ~PageId{0};
+  bool contains(PageId id) const { return id >= first && id <= last; }
+};
+
+/// One record of a page-aligned payload, as both decoders read it.
+struct PageRecord {
+  PageId id;
+  std::uint8_t kind;
+  PageId src;     // cdelta only; == id for every other record
+  ByteSpan body;  // raw/delta/cdelta bytes, a view into the payload
+};
+
+/// Reads every record of a page-aligned payload and checks all that needs
+/// no previous image: the count, each kind, the trailing bytes, and that
+/// no page appears twice. The one record reader of both decoders, so they
+/// reject the same malformed payloads. The records view `payload`.
+std::vector<PageRecord> read_page_records(ByteSpan payload);
 
 /// Aggregate accounting for one checkpoint compression.
 struct DeltaResult {
@@ -105,6 +128,10 @@ class PageAlignedCompressor {
   /// Both decoders read the payload through one record reader, so they
   /// reject the same malformed payloads — a page named twice included.
   mem::Snapshot decompress(ByteSpan payload, const mem::Snapshot& prev) const;
+  /// decompress() over records read_page_records() has read, decoding only
+  /// the pages in `range`.
+  mem::Snapshot decompress(std::span<const PageRecord> records,
+                           const mem::Snapshot& prev, PageRange range) const;
 
   /// Applies the payload directly onto `state` (the accumulated restart
   /// image), mutating page frames where they sit instead of materializing
@@ -116,6 +143,11 @@ class PageAlignedCompressor {
   /// decompress() + overlay (tested byte-exact). Freed pages must be
   /// applied AFTER this call, exactly like the decompress() path.
   void decompress_in_place(ByteSpan payload, mem::Snapshot& state) const;
+  /// decompress_in_place() over records read_page_records() has read,
+  /// applying only the pages in `range`. A move record in the range must
+  /// have its source in the range too: `state` may hold only the range.
+  void decompress_in_place(std::span<const PageRecord> records,
+                           mem::Snapshot& state, PageRange range) const;
 
   /// Builds the move index for one compress() call: populated in
   /// correcting mode, empty (detection off) in greedy mode.

@@ -78,7 +78,10 @@ class ParallelPageCompressor {
   DeltaResult compress(const std::vector<DirtyPage>& dirty,
                        const mem::Snapshot& prev);
 
-  /// Decoding is cheap and stays serial.
+  /// One payload decodes on the calling thread. A restart splits its
+  /// decoding by page range instead, across the chain's records
+  /// (RestartEngine::restore on the restore pool, common/restore_pool.h),
+  /// so this compressor's pool never runs restore work.
   mem::Snapshot decompress(ByteSpan payload, const mem::Snapshot& prev) const {
     return serial_.decompress(payload, prev);
   }

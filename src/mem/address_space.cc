@@ -37,6 +37,10 @@ void AddressSpace::allocate(PageId id, ByteSpan bytes) {
   std::memcpy(insert_page(id)->bytes, bytes.data(), kPageSize);
 }
 
+std::span<std::uint8_t> AddressSpace::allocate_unfilled(PageId id) {
+  return std::span<std::uint8_t>(insert_page(id)->bytes, kPageSize);
+}
+
 void AddressSpace::allocate_range(PageId first, std::uint64_t count) {
   for (std::uint64_t i = 0; i < count; ++i) allocate(first + i);
 }

@@ -66,6 +66,11 @@ class AddressSpace {
   /// Allocates a page holding `bytes` (kPageSize of them): allocate() then
   /// write_page() without the zero fill, in one lookup.
   void allocate(PageId id, ByteSpan bytes);
+  /// Allocates a page and returns its frame unfilled: allocate(id, bytes)
+  /// without the copy. The caller writes all kPageSize bytes before the
+  /// page is read, and may do so on another thread, so a materialize can
+  /// build the index on one thread and fill the frames on several.
+  std::span<std::uint8_t> allocate_unfilled(PageId id);
   /// Allocates [first, first+count).
   void allocate_range(PageId first, std::uint64_t count);
   /// Frees a page; it disappears from subsequent checkpoints.

@@ -37,6 +37,13 @@ class Snapshot {
   /// where they sit instead of building a second snapshot.
   std::span<std::uint8_t> find_page(PageId id);
 
+  /// Makes room for `pages` pages, frames included, so that putting that
+  /// many allocates nothing. A parallel restore sizes each range's
+  /// snapshot this way on the calling thread: glibc keeps a freed block in
+  /// the arena of the thread that allocated it, and frames taken on pool
+  /// threads would spread the image over their arenas.
+  void reserve(std::size_t pages);
+
   /// Inserts or replaces a page image.
   void put_page(PageId id, ByteSpan bytes);
 
@@ -46,11 +53,22 @@ class Snapshot {
   /// Sorted ids of all captured pages.
   std::vector<PageId> page_ids() const;
 
+  /// Joins snapshots of disjoint id ranges, given in ascending id order,
+  /// into one. Each part's frame blocks are adopted where they sit, so no
+  /// page is copied; the parts are left empty. A parallel restore replays
+  /// each range into its own part and splices them.
+  static Snapshot splice(std::span<Snapshot> parts);
+
   /// Applies this snapshot on top of another (later pages win); used when
   /// replaying a full checkpoint followed by increments.
   void overlay_onto(Snapshot& base) const;
 
-  /// Materializes a fresh AddressSpace equal to this snapshot.
+  /// Materializes a fresh AddressSpace equal to this snapshot. The
+  /// calling thread builds the space's index, live list and dirty list;
+  /// the frames are copied by page range on the restore pool
+  /// (common/restore_pool.h) when it is running and the image is large,
+  /// and on the calling thread otherwise. It never starts the pool: a
+  /// materialize outside a restart copies on the calling thread.
   AddressSpace materialize() const;
 
   /// Byte-for-byte equality with a live address space (test helper).

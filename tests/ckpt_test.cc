@@ -144,7 +144,8 @@ std::vector<CheckpointFile> two_file_chain() {
 TEST(RestartEngine, RejectsChainNotStartingWithFull) {
   const auto files = two_file_chain();
   delta::PageAlignedCompressor pa;
-  EXPECT_THROW((void)RestartEngine::restore({files[1]}, pa), CheckError);
+  EXPECT_THROW((void)RestartEngine::restore(std::span(&files[1], 1), pa),
+               CheckError);
 }
 
 TEST(RestartEngine, RejectsNonMonotoneSequence) {
