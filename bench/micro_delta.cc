@@ -23,9 +23,8 @@
 
 #include "ckpt/checkpointer.h"
 #include "common/crc32c.h"
-#include "common/restore_pool.h"
-#include "common/thread_pool.h"
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "common/units.h"
 #include "delta/correcting.h"
 #include "delta/page_delta.h"
@@ -643,7 +642,7 @@ void BM_RestoreGreedy(benchmark::State& state) {
                 ckpt::RestartEngine::Mode::kInPlace);
 }
 // 2048 pages is restart-libquantum's image: RestartEngine::restore
-// replays it by page range on the restore pool (64 and 512 stay serial).
+// replays it by page range on the shared pool (64 and 512 stay serial).
 BENCHMARK(BM_RestoreGreedy)->Arg(64)->Arg(512)->Arg(2048);
 
 /// A node-loss recovery at perfbench's shape: a greedy chain of a
@@ -689,26 +688,29 @@ void BM_Recover(benchmark::State& state) {
 }
 BENCHMARK(BM_Recover);
 
-/// What common::ThreadPool::run costs up to the start of its task, with
-/// the worker parked: the wake a pool user pays per dispatch. The time is
-/// run() to the task's first instruction; the worker is given 200 us to
-/// park again between iterations, outside the clock.
+/// What a common::parallel_for of two participants costs up to the start
+/// of its pool task's item, with the pool's threads parked: the wake a
+/// pool user pays per dispatch. The time is the call to that item's first
+/// instruction (the caller's item waits for it); the threads are given
+/// 200 us to park again between iterations, outside the clock.
 void BM_ThreadPoolWake(benchmark::State& state) {
-  common::ThreadPool pool(1);
+  const std::thread::id caller = std::this_thread::get_id();
   std::atomic<std::uint64_t> started{0};
+  common::parallel_for(2, 2, [](std::size_t) {});  // start the pool
   for (auto _ : state) {
     std::this_thread::sleep_for(std::chrono::microseconds(200));
     started.store(0, std::memory_order_relaxed);
     const std::uint64_t t0 = obs::wall_now_ns();
-    pool.run([&started] {
-      started.store(obs::wall_now_ns(), std::memory_order_release);
+    common::parallel_for(2, 2, [&](std::size_t) {
+      if (std::this_thread::get_id() != caller) {
+        started.store(obs::wall_now_ns(), std::memory_order_release);
+        return;
+      }
+      while (started.load(std::memory_order_acquire) == 0) {
+      }
     });
-    std::uint64_t t1;
-    while ((t1 = started.load(std::memory_order_acquire)) == 0) {
-    }
-    state.SetIterationTime(double(t1 - t0) * 1e-9);
+    state.SetIterationTime(double(started.load() - t0) * 1e-9);
   }
-  pool.wait_idle();
 }
 BENCHMARK(BM_ThreadPoolWake)->UseManualTime();
 
@@ -753,14 +755,14 @@ void BM_HaltCapture(benchmark::State& state) {
 BENCHMARK(BM_HaltCapture)->Arg(2048);
 
 /// The last step of a restart: a fresh AddressSpace from the image. In a
-/// restart the replay has started the restore pool, which materialize
+/// restart the replay has started the shared pool, which materialize
 /// then copies on; it is started here too, so the figure does not depend
 /// on which benchmarks ran before.
 void BM_Materialize(benchmark::State& state) {
   const std::size_t pages = std::size_t(state.range(0));
   Rng rng(0x4A18);
   const mem::Snapshot image = mem::Snapshot::capture(random_space(pages, rng));
-  common::restore_for_each(2, 2, [](std::size_t) {});
+  common::parallel_for(2, 2, [](std::size_t) {});
   std::uint64_t ns = 0;
   for (auto _ : state) {
     const std::uint64_t t0 = obs::wall_now_ns();

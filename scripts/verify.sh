@@ -3,7 +3,8 @@
 #
 #   tier1        configure + build with AIC_WERROR=ON (warnings are
 #                errors across src/tests/bench/examples/tools) + full
-#                ctest suite                                  [build/]
+#                ctest suite, then the test binary once as one process
+#                                                             [build/]
 #   lint         scripts/lint.sh — the aic_lint token-level analyzer
 #                (grep fallback when unbuildable), plus clang-tidy when
 #                installed
@@ -54,10 +55,15 @@ run_tier1() {
   echo "== tier1: -Werror build + full test suite =="
   local log
   log=$(mktemp)
+  # ctest runs each test in a process of its own; the one-process run
+  # after it catches a test that passes only when no earlier test has run
+  # (for one, an allocation count taken after another test started the
+  # shared pool).
   if cmake -B build -S . -DAIC_WERROR=ON >/dev/null &&
     cmake --build build -j"$jobs" &&
-    ctest --test-dir build --output-on-failure -j"$jobs" | tee "$log"; then
-    record tier1 OK "$(ctest_passed "$log"), -Werror clean"
+    ctest --test-dir build --output-on-failure -j"$jobs" | tee "$log" &&
+    build/tests/aic_tests --gtest_brief=1; then
+    record tier1 OK "$(ctest_passed "$log"), one process too, -Werror clean"
   else
     record tier1 FAIL "see output above"
   fi
@@ -79,12 +85,13 @@ run_tsan() {
   log=$(mktemp)
   # Only the test binary: benchmarks/examples don't add TSan coverage.
   # The suites from RestartEngine on restore a chain, recover from the
-  # store or materialize an image: work that runs on the restore pool.
+  # store or materialize an image, and Coordinated's rank chains compress
+  # side by side: work that runs on the shared pool.
   local suites='ThreadPool|Parallel|Async|UnchangedFastPath|Xfer|Obs|Correcting'
   suites+='|Fleet|Lanl|Elastic|Rewind|Timeseries|Slo|Causal'
   suites+='|RestartEngine|RestoreErrorPaths|ChainFixture|CheckpointV3'
   suites+='|CheckpointFile|MultiLevelStore|Raid5|Snapshot|FailureSim'
-  suites+='|ChainVerifier|ParallelRestore|RestorePool'
+  suites+='|ChainVerifier|ParallelRestore|Coordinated'
   if cmake -B build-tsan -S . -DAIC_SANITIZE=thread >/dev/null &&
     cmake --build build-tsan -j"$jobs" --target aic_tests &&
     ctest --test-dir build-tsan --output-on-failure -j"$jobs" \

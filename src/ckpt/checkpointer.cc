@@ -5,7 +5,7 @@
 #include <iterator>
 
 #include "common/check.h"
-#include "common/restore_pool.h"
+#include "common/thread_pool.h"
 #include "common/units.h"
 #include "obs/names.h"
 #include "obs/trace.h"
@@ -175,7 +175,7 @@ std::optional<RestartEngine::Restored> restore_by_range(
   for (std::size_t r = 0; r < ranges; ++r)
     parts[r].reserve((r + 1) * full.size() / ranges - r * full.size() / ranges);
   std::vector<std::exception_ptr> errors(ranges);
-  common::restore_for_each(ranges, participants, [&](std::size_t r) {
+  common::parallel_for(ranges, participants, [&](std::size_t r) {
     try {
       for (std::size_t i = 0; i < chain.size(); ++i)
         replay_pages(chain[i], pages[i], compressor, mode, parts[r], cut[r]);

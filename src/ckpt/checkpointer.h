@@ -75,8 +75,8 @@ class RestartEngine {
   /// `chain` must start with a kFull file; later files must have strictly
   /// increasing sequence numbers. Delta files are decoded against the
   /// accumulated state, mirroring capture. A chain whose full record holds
-  /// enough pages is replayed by page range on the restore pool
-  /// (common/restore_pool.h); the result, and every error message, is the
+  /// enough pages is replayed by page range on the shared pool
+  /// (common::parallel_for); the result, and every error message, is the
   /// serial replay's.
   static Restored restore(std::span<const CheckpointFile> chain,
                           const delta::PageAlignedCompressor& compressor,

@@ -5,6 +5,7 @@
 #include <exception>
 
 #include "common/check.h"
+#include "common/thread_pool.h"
 #include "common/units.h"
 #include "obs/names.h"
 #include "obs/trace.h"
@@ -70,8 +71,6 @@ DeltaResult ParallelPageCompressor::compress(
     return serial_.compress(dirty, prev);
   }
 
-  if (!pool_) pool_ = std::make_unique<common::ThreadPool>(workers_ - 1);
-
   // Built once, shared read-only by every participant: move candidates
   // are a function of `prev` alone, which is what keeps parallel output
   // byte-identical to serial in correcting mode. Empty (and free) in
@@ -92,11 +91,11 @@ DeltaResult ParallelPageCompressor::compress(
     chunk.error = nullptr;
   }
 
-  // The caller and the pool workers claim chunks in turn from one
-  // counter until none is left, so a worker that starts late or is
-  // descheduled just takes fewer.
+  // Every participant claims chunks in turn from one counter until none is
+  // left, so a participant that starts late or is descheduled just takes
+  // fewer.
   std::atomic<std::size_t> next_chunk{0};
-  const auto participate = [&](std::size_t track) {
+  common::parallel_for(participants, participants, [&](std::size_t track) {
     obs::Hub* hub = config_.obs;
     const double t0 = hub ? hub->trace.wall_seconds() : 0.0;
     std::size_t pages = 0, bytes_out = 0;
@@ -121,12 +120,7 @@ DeltaResult ParallelPageCompressor::compress(
                        {"bytes_out", double(bytes_out)}});
       m_shard_pages_->observe(double(pages));
     }
-  };
-
-  for (std::size_t t = 1; t < participants; ++t)
-    pool_->run([&participate, t] { participate(t); });
-  participate(0);
-  pool_->wait_idle();
+  });
   // A chunk stops at its first failing page, so the lowest chunk with an
   // error holds the error a serial run would have thrown.
   for (std::size_t c = 0; c < chunk_count; ++c)

@@ -4,11 +4,12 @@
 // dl is small (Section III: dl enters c2/c3 directly), and on a multicore
 // node the serial PageAlignedCompressor leaves every core but one idle in
 // that exact hot path. ParallelPageCompressor cuts the dirty-page list
-// into chunks of kChunkPages pages; the calling thread and the pool
-// workers claim chunks from one atomic counter until none is left, encode
-// each into its own scratch buffer, and the buffers are stitched back in
-// chunk order. A worker that starts late or is descheduled just takes
-// fewer chunks, instead of holding up a fixed share of the pages.
+// into chunks of kChunkPages pages; its participants, the calling thread
+// and tasks of the shared pool (common::parallel_for, common/thread_pool.h),
+// claim chunks from one atomic counter until none is left, encode each into
+// its own scratch buffer, and the buffers are stitched back in chunk order.
+// A participant that starts late or is descheduled just takes fewer
+// chunks, instead of holding up a fixed share of the pages.
 //
 // Determinism invariant: the merged payload is byte-identical to
 // PageAlignedCompressor::compress on the same input, for any worker count
@@ -19,9 +20,9 @@
 // and commutative. A failing page rethrows the error of the lowest failing
 // page, as a serial run would. Tests assert all three.
 //
-// Buffer reuse: the chunk buffers and the thread pool live for the
-// compressor's lifetime, so steady-state checkpoints allocate only the
-// result payload, not per-page or per-chunk buffers. The calling thread
+// Buffer reuse: the chunk buffers live for the compressor's lifetime, so
+// steady-state checkpoints allocate only the result payload and the shared
+// call's state, not per-page or per-chunk buffers. The calling thread
 // sizes every chunk buffer before dispatch, with room for its pages'
 // largest records, so a pool thread never grows one. Consequently
 // compress() is NOT const and a single instance must not be used from two
@@ -29,10 +30,8 @@
 #pragma once
 
 #include <exception>
-#include <memory>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "common/units.h"
 #include "delta/page_delta.h"
 
@@ -53,18 +52,18 @@ class ParallelPageCompressor {
     /// built once from `prev` before sharding, so every shard sees the
     /// same move candidates as a serial encode would.
     bool correcting = false;
-    /// Encoding threads (including the calling thread); 0 = auto
+    /// Encoding participants (including the calling thread); 0 = auto
     /// (ThreadPool::default_workers(), i.e. hardware_concurrency() - 1 —
     /// the paper's "all cores but the application's" checkpointing cores).
-    /// 1 encodes inline with no pool at all.
+    /// 1 encodes inline and never starts the shared pool.
     unsigned workers = 0;
     /// A set of n dirty pages runs on min(workers, n / this, ceil(n / 4))
-    /// threads, ceil(n / 4) being its chunk count, and inline when that
+    /// participants, ceil(n / 4) being its chunk count, and inline when that
     /// is 1 or less: dispatch overhead would dominate a handful of 4 KiB
     /// pages.
     std::size_t min_shard_pages = 8;
     /// Optional observability hub: one wall-clock shard span per
-    /// encoding thread (its pages and bytes out) and bytes-in/out
+    /// participant (its pages and bytes out) and bytes-in/out
     /// counters. nullptr = disabled.
     obs::Hub* obs = nullptr;
   };
@@ -78,19 +77,10 @@ class ParallelPageCompressor {
   DeltaResult compress(const std::vector<DirtyPage>& dirty,
                        const mem::Snapshot& prev);
 
-  /// One payload decodes on the calling thread. A restart splits its
-  /// decoding by page range instead, across the chain's records
-  /// (RestartEngine::restore on the restore pool, common/restore_pool.h),
-  /// so this compressor's pool never runs restore work.
-  mem::Snapshot decompress(ByteSpan payload, const mem::Snapshot& prev) const {
-    return serial_.decompress(payload, prev);
-  }
-
   /// The underlying serial compressor (shared per-page encoder + decoder);
   /// what RestartEngine replays with.
   const PageAlignedCompressor& serial() const { return serial_; }
 
-  unsigned workers() const { return workers_; }
   bool correcting() const { return serial_.correcting(); }
 
  private:
@@ -127,9 +117,6 @@ class ParallelPageCompressor {
     std::exception_ptr error;
   };
 
-  /// Created on the first compress() that actually shards, then reused for
-  /// every later checkpoint; small simulations never pay the thread spawn.
-  std::unique_ptr<common::ThreadPool> pool_;
   std::vector<Chunk> chunks_;
 };
 

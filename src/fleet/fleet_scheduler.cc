@@ -5,7 +5,6 @@
 #include <cmath>
 #include <iterator>
 #include <limits>
-#include <memory>
 #include <string>
 #include <utility>
 
@@ -608,10 +607,6 @@ void FleetScheduler::round_telemetry(double t1) {
 
 void FleetScheduler::run() {
   const std::size_t shards = std::size_t(config_.shards);
-  std::unique_ptr<common::ThreadPool> pool;
-  if (shards > 1) {
-    pool = std::make_unique<common::ThreadPool>(unsigned(shards));
-  }
   std::vector<std::vector<Action>> shard_actions(shards);
   std::vector<Action> merged;
   // One clock read per phase: each lap charges the time since the last.
@@ -634,14 +629,7 @@ void FleetScheduler::run() {
         job_round(jobs_[live_jobs_[i]], t0, t1, shard_actions[s]);
       }
     };
-    if (pool) {
-      for (std::size_t s = 0; s < shards; ++s) {
-        pool->run([&pass, s] { pass(s); });
-      }
-      pool->wait_idle();
-    } else {
-      pass(0);
-    }
+    common::parallel_for(shards, shards, pass);
     std::erase_if(live_jobs_,
                   [this](std::uint32_t slot) { return jobs_[slot].finished; });
     lap(phase_wall_.shards_s);

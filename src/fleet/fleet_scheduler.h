@@ -18,7 +18,8 @@
 //   phases —
 //     1. admission (serial): jobs arriving in the round are offered to the
 //        admission controller in (arrival, job_id) order;
-//     2. shard passes (parallel, one shard per worker): each shard
+//     2. shard passes (parallel: one common::parallel_for item per shard,
+//        on the calling thread and the shared pool): each shard
 //        simulates its live jobs' local timelines through the round — work
 //        progress, captures, failures, restarts — touching nothing shared,
 //        and emits timestamped Action records;

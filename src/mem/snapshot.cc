@@ -4,7 +4,7 @@
 #include <cstring>
 
 #include "common/check.h"
-#include "common/restore_pool.h"
+#include "common/thread_pool.h"
 
 namespace aic::mem {
 namespace {
@@ -141,9 +141,8 @@ AddressSpace Snapshot::materialize() const {
   // A replay's split (common::restore_page_split), so that a restore too
   // small to split materializes on the calling thread too.
   const common::PageSplit split =
-      common::restore_pool_running()
-          ? common::restore_page_split(pages_.size())
-          : common::PageSplit{};
+      common::pool_threads() > 0 ? common::restore_page_split(pages_.size())
+                                 : common::PageSplit{};
   if (split.participants <= 1) {
     for (const Page& page : pages_)
       space.allocate(page.id, ByteSpan(page.frame->bytes, kPageSize));
@@ -154,7 +153,7 @@ AddressSpace Snapshot::materialize() const {
   for (const Page& page : pages_)
     frames.push_back(space.allocate_unfilled(page.id).data());
   const std::size_t n = pages_.size(), ranges = split.ranges;
-  common::restore_for_each(ranges, split.participants, [&](std::size_t r) {
+  common::parallel_for(ranges, split.participants, [&](std::size_t r) {
     const std::size_t lo = r * n / ranges, hi = (r + 1) * n / ranges;
     for (std::size_t i = lo; i < hi; ++i)
       std::memcpy(frames[i], pages_[i].frame->bytes, kPageSize);

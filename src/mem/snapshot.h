@@ -65,10 +65,11 @@ class Snapshot {
 
   /// Materializes a fresh AddressSpace equal to this snapshot. The
   /// calling thread builds the space's index, live list and dirty list;
-  /// the frames are copied by page range on the restore pool
-  /// (common/restore_pool.h) when it is running and the image is large,
-  /// and on the calling thread otherwise. It never starts the pool: a
-  /// materialize outside a restart copies on the calling thread.
+  /// the frames are copied by page range on the shared pool
+  /// (common::parallel_for) when it is running and the image is large,
+  /// and on the calling thread otherwise. It never starts the pool: in a
+  /// process where no parallel compress, restore or fleet shard pass has
+  /// started it, a materialize copies on the calling thread.
   AddressSpace materialize() const;
 
   /// Byte-for-byte equality with a live address space (test helper).

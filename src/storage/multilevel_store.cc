@@ -5,7 +5,7 @@
 #include <memory>
 
 #include "common/check.h"
-#include "common/restore_pool.h"
+#include "common/thread_pool.h"
 
 namespace aic::storage {
 namespace {
@@ -17,7 +17,7 @@ constexpr std::size_t kRaidNodes = 4;
 /// bytes, four of the group's 192 KiB stripes, so no segment splits a
 /// stripe.
 constexpr std::uint64_t kSegmentBytes = 768 * 1024;
-/// A recovery uses the restore pool from this many bytes per participant
+/// A recovery uses the shared pool from this many bytes per participant
 /// on, so that the small chains of the tests and the simulators recover
 /// on the calling thread and never start the pool.
 constexpr std::uint64_t kMinBytesPerParticipant = 1024 * 1024;
@@ -202,7 +202,7 @@ struct FetchStep {
   std::uint64_t at = 0;
 };
 
-/// Fetches and parses a window's records, on the restore pool when the
+/// Fetches and parses a window's records, on the shared pool when the
 /// window is large. A record of at most one segment is one item: read, then
 /// parsed while its bytes are still in cache. A larger one is read by
 /// segment, so a RAID group reassembles it by stripe range, and then parsed
@@ -232,7 +232,7 @@ void fetch_window(const StorageTarget& target, std::vector<Fetched>& window) {
   const std::size_t participants =
       common::restore_participants(bytes, kMinBytesPerParticipant);
   std::vector<std::exception_ptr> errors(steps.size());
-  common::restore_for_each(steps.size(), participants, [&](std::size_t i) {
+  common::parallel_for(steps.size(), participants, [&](std::size_t i) {
     const FetchStep& step = steps[i];
     Fetched& f = window[step.record];
     try {

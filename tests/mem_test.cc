@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <map>
 #include <thread>
@@ -11,6 +13,7 @@
 
 #include "common/check.h"
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "heap_guard.h"
 #include "mem/address_space.h"
 #include "mem/snapshot.h"
@@ -434,24 +437,47 @@ TEST(Snapshot, ParallelConstLookupsAgree) {
 TEST(Snapshot, CaptureAndMaterializeAllocateOncePerBlock) {
   // A frame block holds kFramesPerBlock pages; besides the blocks, a
   // capture allocates its id list and block list, and a materialize its
-  // index, block list, live list and dirty list, each once.
-  for (const std::size_t n : {std::size_t{64}, std::size_t{2048}}) {
-    AddressSpace s;
-    s.allocate_range(0, n);
-    const std::vector<PageId> ids = s.live_pages();
-    const std::size_t blocks = n / kFramesPerBlock;
+  // index, block list, live list and dirty list, each once. Measured in a
+  // process of its own (a threadsafe death test re-runs the binary),
+  // where the shared pool has not started: once any parallel compress,
+  // restore or fleet shard pass has started it, a large materialize
+  // copies on it and also allocates its frame list and the call's state.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_EXIT(
+      {
+        bool ok = common::pool_threads() == 0;
+        if (!ok) std::fprintf(stderr, "the shared pool is running\n");
+        for (const std::size_t n : {std::size_t{64}, std::size_t{2048}}) {
+          AddressSpace s;
+          s.allocate_range(0, n);
+          const std::vector<PageId> ids = s.live_pages();
+          const std::size_t blocks = n / kFramesPerBlock;
 
-    std::uint64_t before = aic::testing::heap_stats().allocations;
-    const Snapshot snap = Snapshot::capture_pages(s, ids);
-    EXPECT_LE(aic::testing::heap_stats().allocations - before, blocks + 2)
-        << n << " pages";
+          std::uint64_t before = aic::testing::heap_stats().allocations;
+          const Snapshot snap = Snapshot::capture_pages(s, ids);
+          const std::uint64_t captured =
+              aic::testing::heap_stats().allocations - before;
 
-    before = aic::testing::heap_stats().allocations;
-    const AddressSpace rebuilt = snap.materialize();
-    EXPECT_LE(aic::testing::heap_stats().allocations - before, blocks + 4)
-        << n << " pages";
-    EXPECT_TRUE(snap.equals_space(rebuilt));
-  }
+          before = aic::testing::heap_stats().allocations;
+          const AddressSpace rebuilt = snap.materialize();
+          const std::uint64_t materialized =
+              aic::testing::heap_stats().allocations - before;
+          const bool equal = snap.equals_space(rebuilt);
+          if (captured > blocks + 2 || materialized > blocks + 4 || !equal) {
+            std::fprintf(stderr,
+                         "%zu pages: capture %llu (at most %zu), "
+                         "materialize %llu (at most %zu), equal %d\n",
+                         n, static_cast<unsigned long long>(captured),
+                         blocks + 2,
+                         static_cast<unsigned long long>(materialized),
+                         blocks + 4, int(equal));
+            ok = false;
+          }
+        }
+        std::fflush(stderr);
+        std::_Exit(ok ? 0 : 1);
+      },
+      ::testing::ExitedWithCode(0), "");
 }
 
 TEST(AddressSpace, SteadyHaltCycleAllocatesNothingPerPage) {

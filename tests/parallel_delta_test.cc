@@ -1,13 +1,17 @@
 // Tests for the sharded delta-compression pipeline: the common/ThreadPool
-// primitive, the ParallelPageCompressor's determinism invariant (byte-
-// identical payload and identical stats vs the serial compressor at every
-// worker count), chunk claiming (failing pages, warm buffers), the
-// unchanged-page fast path and its record kind across chain restore, and
-// buffer reuse across checkpoints.
+// primitive and its shared call (common::parallel_for), the
+// ParallelPageCompressor's determinism invariant (byte-identical payload
+// and identical stats vs the serial compressor at every worker count),
+// chunk claiming (failing pages, warm buffers), the unchanged-page fast
+// path and its record kind across chain restore, and buffer reuse across
+// checkpoints.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstring>
+#include <mutex>
+#include <set>
+#include <thread>
 #include <vector>
 
 #include "storage/async_checkpointer.h"
@@ -31,30 +35,52 @@ Bytes random_bytes(Rng& rng, std::size_t n) {
   return b;
 }
 
-// ---- ThreadPool ----
+// ---- ThreadPool and the shared call ----
 
 TEST(ThreadPool, RunsEveryTask) {
-  common::ThreadPool pool(4);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 100; ++i) pool.run([&count] { ++count; });
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 100);
+  // Every item of a parallel_for runs exactly once, whichever participant
+  // claims it.
+  std::vector<std::atomic<int>> runs(100);
+  common::parallel_for(runs.size(), 4, [&runs](std::size_t i) { ++runs[i]; });
+  for (std::size_t i = 0; i < runs.size(); ++i)
+    EXPECT_EQ(runs[i].load(), 1) << "item " << i;
 }
 
 TEST(ThreadPool, ReusableAcrossBatches) {
-  common::ThreadPool pool(2);
+  // The first batch grows the shared pool to two threads if it has fewer;
+  // later batches of the same size run on the threads it already has.
+  std::mutex mutex;
+  std::set<std::thread::id> ids;
   std::atomic<int> count{0};
+  std::size_t threads = 0;
   for (int batch = 0; batch < 10; ++batch) {
-    for (int i = 0; i < 8; ++i) pool.run([&count] { ++count; });
-    pool.wait_idle();
+    common::parallel_for(8, 3, [&](std::size_t) {
+      ++count;
+      const std::lock_guard<std::mutex> lock(mutex);
+      ids.insert(std::this_thread::get_id());
+    });
     EXPECT_EQ(count.load(), (batch + 1) * 8);
+    if (batch == 0) threads = common::pool_threads();
+    EXPECT_GE(common::pool_threads(), 2u);
+    EXPECT_EQ(common::pool_threads(), threads) << "batch " << batch;
   }
+  EXPECT_LE(ids.size(), threads + 1);  // the pool's threads and the caller
 }
 
-TEST(ThreadPool, WaitIdleOnEmptyPoolReturns) {
-  common::ThreadPool pool(3);
-  pool.wait_idle();  // nothing queued: must not hang
-  EXPECT_EQ(pool.size(), 3u);
+TEST(ThreadPool, AnItemMayCallParallelFor) {
+  // Every outer item runs an inner call on the same pool, whose threads
+  // are busy with outer items: each inner caller does what no free thread
+  // claims, so every call returns and every item runs exactly once.
+  constexpr std::size_t kOuter = 8, kInner = 64;
+  std::vector<std::atomic<int>> outer(kOuter), inner(kOuter * kInner);
+  common::parallel_for(kOuter, 4, [&](std::size_t o) {
+    ++outer[o];
+    common::parallel_for(kInner, 4,
+                         [&, o](std::size_t i) { ++inner[o * kInner + i]; });
+  });
+  for (std::size_t o = 0; o < kOuter; ++o) EXPECT_EQ(outer[o].load(), 1);
+  for (std::size_t i = 0; i < inner.size(); ++i)
+    EXPECT_EQ(inner[i].load(), 1) << "inner item " << i;
 }
 
 TEST(ThreadPool, DestructorDrainsQueuedTasks) {
@@ -62,7 +88,7 @@ TEST(ThreadPool, DestructorDrainsQueuedTasks) {
   {
     common::ThreadPool pool(1);
     for (int i = 0; i < 50; ++i) pool.run([&count] { ++count; });
-    // No wait_idle: destruction must still run everything enqueued.
+    // Nothing waits for the tasks: destruction must still run them all.
   }
   EXPECT_EQ(count.load(), 50);
 }
@@ -150,7 +176,7 @@ TEST(ParallelPageCompressor, RoundTripsThroughSerialDecompress) {
   Evolution ev(rng);
   ParallelPageCompressor pc({.workers = 4, .min_shard_pages = 1});
   DeltaResult res = pc.compress(ev.dirty, ev.prev);
-  mem::Snapshot restored = pc.decompress(res.payload, ev.prev);
+  mem::Snapshot restored = pc.serial().decompress(res.payload, ev.prev);
   ASSERT_EQ(restored.page_count(), ev.dirty.size());
   for (const DirtyPage& d : ev.dirty) {
     ASSERT_TRUE(restored.contains(d.id));
@@ -254,7 +280,7 @@ TEST(ParallelPageCompressor, EmptyDirtySet) {
   mem::Snapshot prev;
   DeltaResult res = pc.compress({}, prev);
   EXPECT_EQ(res.pages_total, 0u);
-  mem::Snapshot restored = pc.decompress(res.payload, prev);
+  mem::Snapshot restored = pc.serial().decompress(res.payload, prev);
   EXPECT_EQ(restored.page_count(), 0u);
 }
 
@@ -346,9 +372,9 @@ TEST(ParallelPageCompressor, BadPageThrowsAndNextCompressIsSerial) {
 
 TEST(ParallelPageCompressor, WarmCompressAllocatesNoChunkBuffer) {
   // Chunk buffers are sized once and kept: a warm call allocates the
-  // result payload, a task-queue node at most, and three vectors for
-  // each pool thread that encodes its first page now, against one
-  // allocation per chunk (25 here) if buffers were not kept.
+  // result payload, the shared call's state, and three vectors for each
+  // pool thread that encodes its first page now, against one allocation
+  // per chunk (25 here) if buffers were not kept.
   Rng rng(42);
   const SizedDirtySet set(rng, 97);
   const unsigned workers = 4;

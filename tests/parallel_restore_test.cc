@@ -1,9 +1,10 @@
-// Tests for the parallel restart path: the restore pool's calls, replay
-// by page range (ckpt::detail::restore_ranges at 1-8 ranges, against the
-// serial replay), the splice that joins the ranges (mem::Snapshot::splice
-// over common::Slab::adopt), materialize on the restore pool, the ranged
-// record read (StorageTarget::read_range) and a recovery large enough to
-// use the pool.
+// Tests for the parallel restart path: calls of the shared pool
+// (common::parallel_for) that overlap, among them a compress and a
+// restore, replay by page range (ckpt::detail::restore_ranges at 1-8
+// ranges, against the serial replay), the splice that joins the ranges
+// (mem::Snapshot::splice over common::Slab::adopt), materialize on the
+// pool, the ranged record read (StorageTarget::read_range) and a recovery
+// large enough to use the pool.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,6 +13,7 @@
 #include <chrono>
 #include <cstring>
 #include <future>
+#include <latch>
 #include <span>
 #include <string>
 #include <thread>
@@ -21,11 +23,12 @@
 #include "ckpt/checkpointer.h"
 #include "common/bytes.h"
 #include "common/check.h"
-#include "common/restore_pool.h"
 #include "common/rng.h"
 #include "common/slab.h"
+#include "common/thread_pool.h"
 #include "common/units.h"
 #include "delta/page_delta.h"
+#include "delta/parallel_page_delta.h"
 #include "heap_guard.h"
 #include "mem/address_space.h"
 #include "mem/snapshot.h"
@@ -131,19 +134,19 @@ RestartEngine::Restored restore_at(std::span<const CheckpointFile> chain,
   return ckpt::detail::restore_ranges(chain, pa, mode, ranges, ranges);
 }
 
-// ---- the restore pool ----
+// ---- calls of the shared pool that overlap ----
 
-TEST(RestorePool, ACallReturnsWhileAnotherHoldsThePool) {
+TEST(ThreadPool, ACallReturnsWhileAnotherHoldsThePool) {
   // Call A's items wait for `release`, holding its caller and every pool
   // thread. Call B's tasks queue behind A's, so B's caller does all of B's
   // items; it returns without waiting for those tasks, which run after A
   // and find nothing left.
-  const std::size_t workers = common::restore_workers();
+  const std::size_t workers = common::ThreadPool::default_workers();
   if (workers < 2) GTEST_SKIP() << "one participant: the pool never starts";
   std::atomic<std::size_t> started{0};
   std::atomic<bool> release{false};
   std::thread a([&] {
-    common::restore_for_each(workers, workers, [&](std::size_t) {
+    common::parallel_for(workers, workers, [&](std::size_t) {
       ++started;
       while (!release.load())
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
@@ -153,8 +156,8 @@ TEST(RestorePool, ACallReturnsWhileAnotherHoldsThePool) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   std::vector<int> done(8, 0);
   std::future<void> b = std::async(std::launch::async, [&] {
-    common::restore_for_each(done.size(), workers,
-                             [&](std::size_t i) { done[i] = 1; });
+    common::parallel_for(done.size(), workers,
+                         [&](std::size_t i) { done[i] = 1; });
   });
   const bool returned =
       b.wait_for(std::chrono::seconds(20)) == std::future_status::ready;
@@ -163,6 +166,63 @@ TEST(RestorePool, ACallReturnsWhileAnotherHoldsThePool) {
   b.wait();
   EXPECT_TRUE(returned) << "B waited for its tasks behind A's";
   EXPECT_EQ(done, std::vector<int>(8, 1));
+}
+
+TEST(ThreadPool, ACompressAndARestoreAtOnceBothMatchSerial) {
+  // A 4-worker compress on one thread and the restore of a 2048-page chain
+  // (replayed by page range) on another, started together and repeated,
+  // share the pool; each returns what its serial path returns.
+  constexpr std::size_t kPages = 2048;
+  Rng rng(0x5EF);
+  mem::AddressSpace space;
+  space.allocate_range(0, kPages);
+  for (mem::PageId id = 0; id < kPages; ++id) randomize_page(space, id, rng);
+  CheckpointChain::Config cfg;
+  cfg.compress_workers = 1;
+  CheckpointChain chain(cfg);
+  chain.capture(space, {}, 0.0);
+  for (int step = 1; step <= 3; ++step) {
+    space.protect_all();
+    for (int e = 0; e < 256; ++e)
+      small_edit(space, rng.uniform_u64(kPages), rng);
+    chain.capture(space, {}, double(step));
+  }
+  const delta::PageAlignedCompressor pa;
+  const auto serial_restore = restore_at(chain.files(), pa, Mode::kInPlace, 1);
+
+  const mem::Snapshot prev = mem::Snapshot::capture(space);
+  std::vector<Bytes> images;
+  for (mem::PageId id = 0; id < kPages; id += 3) {
+    Bytes image(prev.page_bytes(id).begin(), prev.page_bytes(id).end());
+    image[id % kPageSize] ^= 0x5A;
+    images.push_back(std::move(image));
+  }
+  std::vector<delta::DirtyPage> dirty;
+  for (std::size_t i = 0; i < images.size(); ++i)
+    dirty.push_back({mem::PageId(3 * i), images[i]});
+  const Bytes serial_payload = pa.compress(dirty, prev).payload;
+
+  constexpr int kRounds = 4;
+  std::vector<Bytes> payloads(kRounds);
+  std::vector<RestartEngine::Restored> restored(kRounds);
+  std::latch go(2);
+  std::thread compressing([&] {
+    delta::ParallelPageCompressor pc({.workers = 4, .min_shard_pages = 1});
+    go.arrive_and_wait();
+    for (int r = 0; r < kRounds; ++r)
+      payloads[r] = pc.compress(dirty, prev).payload;
+  });
+  std::thread restoring([&] {
+    go.arrive_and_wait();
+    for (int r = 0; r < kRounds; ++r)
+      restored[r] = RestartEngine::restore(chain.files(), pa);
+  });
+  compressing.join();
+  restoring.join();
+  for (int r = 0; r < kRounds; ++r) {
+    EXPECT_EQ(payloads[r], serial_payload) << "compress " << r;
+    expect_same(restored[r], serial_restore, "restore " + std::to_string(r));
+  }
 }
 
 // ---- replay by page range ----
@@ -438,12 +498,12 @@ TEST(Snapshot, MaterializeOnThePoolMatchesAndNeverStartsIt) {
   for (mem::PageId id = 0; id < 3000; id += 2) space.free_page(id);
   for (mem::PageId id = 1; id < 3000; id += 2) randomize_page(space, id, rng);
   const mem::Snapshot image = mem::Snapshot::capture(space);
-  const bool running = common::restore_pool_running();
+  const std::size_t threads = common::pool_threads();
   EXPECT_TRUE(image.equals_space(image.materialize()));
-  EXPECT_EQ(common::restore_pool_running(), running);
+  EXPECT_EQ(common::pool_threads(), threads);
   // Start the pool the way a restore does, then copy on it.
-  common::restore_for_each(4, 4, [](std::size_t) {});
-  EXPECT_EQ(common::restore_pool_running(), common::restore_workers() > 1);
+  common::parallel_for(4, 4, [](std::size_t) {});
+  EXPECT_GE(common::pool_threads(), 3u);
   const mem::AddressSpace rebuilt = image.materialize();
   EXPECT_TRUE(image.equals_space(rebuilt));
   EXPECT_EQ(rebuilt.dirty_pages(), rebuilt.live_pages());
@@ -491,7 +551,7 @@ TEST(Raid5, ReadRangeMatchesGetWithAndWithoutAMember) {
 
 TEST(MultiLevelStore, LargeRecoveryOnThePoolMatchesTheStoredRecords) {
   // A 600-page full (2.4 MB, four read segments) and 40 small records:
-  // large enough that recover() fetches and parses on the restore pool.
+  // large enough that recover() fetches and parses on the shared pool.
   storage::MultiLevelStore store;
   Rng rng(0x5EE);
   mem::AddressSpace space;
