@@ -531,17 +531,23 @@ BENCHMARK(BM_Raid5Put)->Arg(4096)->Arg(360912)->Arg(8388608);
 
 // ---- the restart path's byte layers: record parse ----
 
-void BM_ParseCheckpoint(benchmark::State& state) {
-  // A record with a payload of the given size, as recover() parses each
-  // one it reads back: checksum, field reads and the payload copy.
+/// A record with a payload of `payload_bytes`, serialized.
+Bytes serialized_record(std::size_t payload_bytes) {
   Rng rng(7);
   ckpt::CheckpointFile f;
   f.kind = ckpt::CheckpointKind::kIncrementalDelta;
   f.sequence = 9;
   f.cpu_state = random_bytes(rng, 64);
   f.freed_pages = {3, 5, 8};
-  f.payload = random_bytes(rng, std::size_t(state.range(0)));
-  const Bytes wire = f.serialize();
+  f.payload = random_bytes(rng, payload_bytes);
+  return f.serialize();
+}
+
+void BM_ParseCheckpoint(benchmark::State& state) {
+  // The span entry, as fsck parses a record: one pass copies the record
+  // into a buffer of its own and checksums it, then the fields are read
+  // in that copy.
+  const Bytes wire = serialized_record(std::size_t(state.range(0)));
   for (auto _ : state) {
     benchmark::DoNotOptimize(ckpt::CheckpointFile::parse(wire));
   }
@@ -549,6 +555,20 @@ void BM_ParseCheckpoint(benchmark::State& state) {
                           std::int64_t(wire.size()));
 }
 BENCHMARK(BM_ParseCheckpoint)->Arg(4096)->Arg(360912)->Arg(8388608);
+
+void BM_ParseCheckpointInPlace(benchmark::State& state) {
+  // The shared-buffer entry, as recover() parses a record of one segment
+  // in the buffer it was read into: the checksum and the field reads, no
+  // copy. (A larger record comes with its register, combined from the
+  // segments' checksums, and its parse reads only the header.)
+  const SharedBytes wire(serialized_record(std::size_t(state.range(0))));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ckpt::CheckpointFile::parse(wire));
+  }
+  state.SetBytesProcessed(std::int64_t(state.iterations()) *
+                          std::int64_t(wire.size()));
+}
+BENCHMARK(BM_ParseCheckpointInPlace)->Arg(4096)->Arg(360912)->Arg(8388608);
 
 // ---- restart reconstruction: wall time and peak heap per mode ----
 
@@ -649,7 +669,8 @@ BENCHMARK(BM_RestoreGreedy)->Arg(64)->Arg(512)->Arg(2048);
 /// 2048-page full and 47 incrementals (64 edited pages each, 16 of them
 /// rewritten unchanged), stored through a MultiLevelStore whose node then
 /// fails at level 2 (L1 gone, one RAID member rebuilt), read back with
-/// recover(): the RAID reassembly and the parse of every record.
+/// recover(): the RAID reassembly, the checksum of every record (the
+/// full one by segment, on the pool) and the in-place parse of each.
 void BM_Recover(benchmark::State& state) {
   constexpr std::size_t kPages = 2048, kRecords = 48;
   Rng rng(0x71C);

@@ -1,7 +1,6 @@
 #include "ckpt/checkpoint_file.h"
 
 #include <algorithm>
-#include <exception>
 
 #include "common/check.h"
 #include "common/crc32c.h"
@@ -26,11 +25,20 @@ constexpr std::size_t kV2HeaderSize = 12;
 /// closing the v2 gap where a single bit flip in the version digit turned a
 /// record into a "valid" one of another version (the CRC field itself stays
 /// uncovered: a flip there mismatches by construction).
-std::uint32_t record_crc(ByteSpan data, bool cover_magic) {
-  std::uint32_t st = kCrc32cInit;
-  if (cover_magic) st = crc32c_update(st, data.first(8));
-  st = crc32c_update(st, data.subspan(kV2HeaderSize));
-  return crc32c_finalize(st);
+///
+/// It is derived from `whole`, the register crc32c_update(0, data) over all
+/// n bytes, which a reader can compute piecewise while it reads. The
+/// register is linear, so with S0 the start the body's checksum continues
+/// (kCrc32cInit, or the register after the magic for v3) and H the register
+/// from zero over the 12-byte header, the body's register is
+/// shift(S0 ^ H, n - 12) ^ whole: the header's bytes cancel out of `whole`.
+std::uint32_t record_crc(ByteSpan data, bool cover_magic,
+                         std::uint32_t whole) {
+  const std::uint32_t start =
+      cover_magic ? crc32c_update(kCrc32cInit, data.first(8)) : kCrc32cInit;
+  const std::uint32_t header = crc32c_update(0, data.first(kV2HeaderSize));
+  return crc32c_finalize(
+      crc32c_shift(start ^ header, data.size() - kV2HeaderSize) ^ whole);
 }
 
 /// Reads a length/count field and proves it can be backed by the bytes
@@ -87,18 +95,19 @@ ByteSpan read_body(ByteReader& r, CheckpointFile& f) {
   return payload;
 }
 
-/// Payload bytes per checksum-and-copy step: one round of the CRC's three
-/// streams, small enough that the copy finds every byte still in L1.
+/// Bytes per checksum-and-copy step: one round of the CRC's three streams,
+/// small enough that the copy finds every byte still in L1.
 constexpr std::size_t kParseBlock = 3 * kCrc32cStreamBlock;
 
-/// Advances `crc` over `payload` and appends it to `out`, block by block,
-/// so each copy reads bytes the checksum has just pulled into cache.
-std::uint32_t checksum_and_copy(std::uint32_t crc, ByteSpan payload,
-                                Bytes& out) {
-  out.reserve(payload.size());
-  for (std::size_t at = 0; at < payload.size(); at += kParseBlock) {
+/// Copies `record` into `out` block by block and returns its register from
+/// zero, crc32c_update(0, record): each copy reads bytes the checksum has
+/// just pulled into cache.
+std::uint32_t checksum_and_copy(ByteSpan record, Bytes& out) {
+  std::uint32_t crc = 0;
+  out.reserve(record.size());
+  for (std::size_t at = 0; at < record.size(); at += kParseBlock) {
     const ByteSpan block =
-        payload.subspan(at, std::min(kParseBlock, payload.size() - at));
+        record.subspan(at, std::min(kParseBlock, record.size() - at));
     crc = crc32c_update(crc, block);
     out.insert(out.end(), block.begin(), block.end());
   }
@@ -145,13 +154,22 @@ Bytes CheckpointFile::serialize() const {
   w.varint(payload.size());
   w.raw(payload);
 
-  const std::uint32_t crc = record_crc(
-      out, kind == CheckpointKind::kIncrementalCorrecting);
+  const std::uint32_t crc =
+      record_crc(out, kind == CheckpointKind::kIncrementalCorrecting,
+                 crc32c_update(0, out));
   for (int i = 0; i < 4; ++i) out[8 + i] = std::uint8_t(crc >> (8 * i));
   return out;
 }
 
 CheckpointFile CheckpointFile::parse(ByteSpan data) {
+  Bytes record;
+  const std::uint32_t crc = checksum_and_copy(data, record);
+  return parse(SharedBytes(std::move(record)), crc);
+}
+
+CheckpointFile CheckpointFile::parse(SharedBytes record,
+                                     std::optional<std::uint32_t> crc) {
+  const ByteSpan data = record;
   ByteReader r(data);
   const std::uint64_t magic = r.u64();
   CheckpointFile f;
@@ -167,57 +185,37 @@ CheckpointFile CheckpointFile::parse(ByteSpan data) {
         "' at offset 7 is newer than this build understands (reads v1-v" +
         std::to_string(kCurrentVersion) + ")");
   }
-  if (magic != kMagicV2 && magic != kMagicV3) {
+  if (magic == kMagicV2 || magic == kMagicV3) {
+    f.version = magic == kMagicV3 ? kVersionV3 : kVersionV2;
+    const std::uint32_t stored = r.u32();
+    // The checksum is judged before anything the body says.
+    const std::uint32_t computed = record_crc(
+        data, magic == kMagicV3, crc ? *crc : crc32c_update(0, data));
+    if (stored != computed) {
+      // Best-effort peek at the (untrusted) sequence so the diagnostic can
+      // say which chain position is corrupt; every read is bounds-checked.
+      std::string claimed;
+      try {
+        ByteReader peek(data.subspan(kV2HeaderSize));
+        (void)peek.u8();  // kind
+        claimed = " (record claims sequence " +
+                  std::to_string(peek.varint()) + ")";
+      } catch (const CheckError&) {
+      }
+      AIC_CHECK_MSG(stored == computed,
+                    "checkpoint body checksum mismatch at offset 8: stored "
+                    "crc32c="
+                        << stored << ", computed " << computed
+                        << " over bytes [" << kV2HeaderSize << ", "
+                        << data.size() << ")" << claimed);
+    }
+  } else {
     AIC_CHECK_MSG(magic == kMagicV1, "bad checkpoint magic at offset 0");
     f.version = kVersionV1;
-    const ByteSpan payload = read_body(r, f);
-    f.payload.assign(payload.begin(), payload.end());
-    return f;
   }
-
-  f.version = magic == kMagicV3 ? kVersionV3 : kVersionV2;
-  const std::uint32_t stored = r.u32();
-  // The checksum is judged before anything the body says, exactly as if it
-  // had run over the whole record first. The body is read ahead only to
-  // find the payload, so that the copy can ride the checksum pass; an
-  // error in it waits until the checksum has matched.
-  std::exception_ptr body_error;
-  ByteSpan payload;
-  try {
-    payload = read_body(r, f);
-  } catch (const CheckError&) {
-    body_error = std::current_exception();
-  }
-  std::uint32_t computed;
-  if (body_error) {
-    computed = record_crc(data, magic == kMagicV3);
-  } else {
-    std::uint32_t st = kCrc32cInit;
-    if (magic == kMagicV3) st = crc32c_update(st, data.first(8));
-    const std::size_t payload_at = std::size_t(payload.data() - data.data());
-    st = crc32c_update(
-        st, data.subspan(kV2HeaderSize, payload_at - kV2HeaderSize));
-    computed = crc32c_finalize(checksum_and_copy(st, payload, f.payload));
-  }
-  if (stored != computed) {
-    // Best-effort peek at the (untrusted) sequence so the diagnostic can
-    // say which chain position is corrupt; every read is bounds-checked.
-    std::string claimed;
-    try {
-      ByteReader peek(data.subspan(kV2HeaderSize));
-      (void)peek.u8();  // kind
-      claimed = " (record claims sequence " + std::to_string(peek.varint()) +
-                ")";
-    } catch (const CheckError&) {
-    }
-    AIC_CHECK_MSG(stored == computed,
-                  "checkpoint body checksum mismatch at offset 8: stored "
-                  "crc32c="
-                      << stored << ", computed " << computed << " over bytes ["
-                      << kV2HeaderSize << ", " << data.size() << ")"
-                      << claimed);
-  }
-  if (body_error) std::rethrow_exception(body_error);
+  const ByteSpan payload = read_body(r, f);
+  f.payload = record.subspan(std::size_t(payload.data() - data.data()),
+                             payload.size());
   return f;
 }
 

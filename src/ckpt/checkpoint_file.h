@@ -53,6 +53,14 @@
 // build does not understand throws UnsupportedFormatError (a CheckError
 // subclass), so tools can distinguish "from the future" from "corrupt".
 //
+// Who owns the bytes: a parsed record's payload is a view into the buffer
+// the record was read into, never a copy of it. The payload (common/
+// bytes.h SharedBytes) holds a reference to that buffer, so the buffer
+// lives as long as any copy of the record does, and copies of a record
+// share it; nothing can write through it. A recovery therefore holds each
+// record's read buffer, header bytes included, for as long as it holds
+// the parsed chain.
+//
 // parse() is hardened against hostile input: every length/count field is
 // bounds-checked against the bytes actually remaining before any
 // allocation or read, so truncated or oversized-length records throw
@@ -65,6 +73,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "common/bytes.h"
@@ -113,7 +122,11 @@ struct CheckpointFile {
   /// Pages freed since the previous checkpoint (empty for kFull).
   std::vector<PageId> freed_pages;
   /// Page payload; interpretation depends on `kind` (see header comment).
-  Bytes payload;
+  /// Immutable, and shared by every copy of the file: a copy costs a
+  /// reference count, not the payload. A parsed record's payload views the
+  /// buffer its record was parsed from and keeps that buffer alive (see
+  /// parse()); a record built in memory assigns a Bytes, which moves in.
+  SharedBytes payload;
   /// Format version observed by parse(); kCurrentVersion for records built
   /// in memory.
   std::uint8_t version = kCurrentVersion;
@@ -124,6 +137,17 @@ struct CheckpointFile {
   /// Parses a serialized checkpoint (v1-v3); throws CheckError naming
   /// the offending byte offset on any corruption or hostile length field,
   /// and UnsupportedFormatError for a well-formed future-version magic.
+  /// The record is parsed in place: the payload views `record`, which it
+  /// keeps alive, and no payload byte is copied. `crc`, if given, is the
+  /// register crc32c_update(0, record) over every byte of the record, as a
+  /// reader that checksummed the record piece by piece while reading it
+  /// combines it (common/crc32c.h); otherwise parse computes it. The
+  /// record checksum is derived from it, so a caller needs no knowledge of
+  /// the format.
+  static CheckpointFile parse(SharedBytes record,
+                              std::optional<std::uint32_t> crc = {});
+  /// The same parse over a copy of `data`, which it makes and checksums in
+  /// one pass; the payload views that copy.
   static CheckpointFile parse(ByteSpan data);
 
   /// Total serialized size without building the buffer (used for bandwidth

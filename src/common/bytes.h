@@ -3,14 +3,18 @@
 //
 // Used by the delta instruction stream (delta/) and the checkpoint file
 // format (ckpt/). All multi-byte integers are stored little-endian so the
-// formats are deterministic and portable.
+// formats are deterministic and portable. SharedBytes is the immutable,
+// shared buffer a parsed checkpoint's payload lives in.
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
@@ -19,6 +23,53 @@ namespace aic {
 
 using Bytes = std::vector<std::uint8_t>;
 using ByteSpan = std::span<const std::uint8_t>;
+
+/// Immutable bytes that every copy shares: a view plus a reference to
+/// whatever owns the bytes it views, so a copy costs a reference count and
+/// never the bytes. Built from a Bytes by a move, or from an owner and a
+/// span of the bytes it keeps alive. Compares by content.
+class SharedBytes {
+ public:
+  using value_type = std::uint8_t;
+  using const_iterator = const std::uint8_t*;
+  using iterator = const_iterator;
+
+  SharedBytes() = default;
+  explicit SharedBytes(Bytes&& bytes) { *this = std::move(bytes); }
+  SharedBytes(std::shared_ptr<const void> owner, ByteSpan view)
+      : owner_(std::move(owner)), view_(view) {}
+
+  /// Takes `bytes` over; the buffer moves, no byte is copied.
+  SharedBytes& operator=(Bytes&& bytes) {
+    auto owned = std::make_shared<Bytes>(std::move(bytes));
+    view_ = *owned;
+    owner_ = std::move(owned);
+    return *this;
+  }
+
+  /// The bytes [offset, offset + count), kept alive by the same owner.
+  SharedBytes subspan(std::size_t offset, std::size_t count) const {
+    AIC_CHECK(offset <= view_.size() && count <= view_.size() - offset);
+    return {owner_, view_.subspan(offset, count)};
+  }
+
+  const std::uint8_t* data() const { return view_.data(); }
+  std::size_t size() const { return view_.size(); }
+  const_iterator begin() const { return view_.data(); }
+  const_iterator end() const { return view_.data() + view_.size(); }
+  operator ByteSpan() const { return view_; }
+
+  friend bool operator==(const SharedBytes& a, ByteSpan b) {
+    return std::ranges::equal(a.view_, b);
+  }
+  friend bool operator==(const SharedBytes& a, const SharedBytes& b) {
+    return a == b.view_;
+  }
+
+ private:
+  std::shared_ptr<const void> owner_;
+  ByteSpan view_;
+};
 
 /// Appends encoded values to a Bytes buffer.
 class ByteWriter {

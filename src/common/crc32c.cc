@@ -1,6 +1,7 @@
 #include "common/crc32c.h"
 
 #include <array>
+#include <bit>
 #include <cstring>
 
 #if defined(__x86_64__)
@@ -41,7 +42,62 @@ const Tables& tables() {
   return instance;
 }
 
+// The register is a polynomial over GF(2) in reflected form, bit 31 the
+// coefficient of x^0, and a zero byte multiplies it by x^8 modulo P. So a
+// shift over 2^k zero bytes is the linear map "multiply by x^(8 * 2^k)":
+// kept, for every k a 64-bit byte count can hold, as eight tables of the
+// images of a nibble's 16 values (512 bytes each, 32 KiB in all). A shift
+// over n bytes applies the map of each set bit of n: eight lookups per bit,
+// zlib's multiply-by-powers method with the multiplies tabulated.
+struct ZeroShifts {
+  std::array<std::array<std::array<std::uint32_t, 16>, 8>, 64> t;
+
+  ZeroShifts() {
+    std::uint32_t power = 1u << 23;  // x^8: one zero byte
+    for (std::size_t k = 0; k < t.size(); ++k) {
+      // The image of x^m (bit 31 - m) is power * x^m: one step of the
+      // bitwise CRC per m.
+      std::array<std::uint32_t, 32> bit;
+      std::uint32_t image = power;
+      for (std::size_t m = 0; m < bit.size(); ++m) {
+        bit[31 - m] = image;
+        image = (image >> 1) ^ ((image & 1u) ? kPoly : 0u);
+      }
+      for (std::size_t nibble = 0; nibble < 8; ++nibble) {
+        for (std::uint32_t v = 0; v < 16; ++v) {
+          std::uint32_t sum = 0;
+          for (std::size_t b = 0; b < 4; ++b)
+            if ((v >> b) & 1u) sum ^= bit[4 * nibble + b];
+          t[k][nibble][v] = sum;
+        }
+      }
+      power = (*this)(k, power);  // x^(8 * 2^(k+1)) = power * power
+    }
+  }
+
+  /// `crc` shifted over 2^k zero bytes.
+  std::uint32_t operator()(std::size_t k, std::uint32_t crc) const {
+    std::uint32_t out = 0;
+    for (std::size_t nibble = 0; nibble < 8; ++nibble)
+      out ^= t[k][nibble][(crc >> (4 * nibble)) & 0xFu];
+    return out;
+  }
+};
+
+const ZeroShifts& zero_shifts() {
+  static const ZeroShifts instance;
+  return instance;
+}
+
 }  // namespace
+
+std::uint32_t crc32c_shift(std::uint32_t state, std::uint64_t n) {
+  const ZeroShifts& shift = zero_shifts();
+  for (std::size_t k = 0; n != 0; n >>= 1, ++k) {
+    if (n & 1u) state = shift(k, state);
+  }
+  return state;
+}
 
 namespace detail {
 
@@ -75,36 +131,6 @@ std::uint64_t load64(const std::uint8_t* p) {
   return word;
 }
 
-// The register after kCrc32cStreamBlock zero bytes, as a function of the
-// register before: a linear map over GF(2), so it is the XOR of four
-// byte-indexed tables. Built once, from the image of each of the 32 bits.
-struct ZeroShift {
-  std::array<std::array<std::uint32_t, 256>, 4> t;
-
-  __attribute__((target("sse4.2"))) ZeroShift() {
-    std::array<std::uint32_t, 32> bit;
-    for (std::size_t i = 0; i < bit.size(); ++i) {
-      std::uint64_t crc = std::uint32_t(1) << i;
-      for (std::size_t n = 0; n < kCrc32cStreamBlock; n += 8)
-        crc = _mm_crc32_u64(crc, 0);
-      bit[i] = std::uint32_t(crc);
-    }
-    for (std::size_t k = 0; k < 4; ++k) {
-      for (std::uint32_t v = 0; v < 256; ++v) {
-        std::uint32_t image = 0;
-        for (std::size_t b = 0; b < 8; ++b)
-          if ((v >> b) & 1u) image ^= bit[8 * k + b];
-        t[k][v] = image;
-      }
-    }
-  }
-
-  std::uint32_t operator()(std::uint32_t crc) const {
-    return t[0][crc & 0xFFu] ^ t[1][(crc >> 8) & 0xFFu] ^
-           t[2][(crc >> 16) & 0xFFu] ^ t[3][crc >> 24];
-  }
-};
-
 }  // namespace
 
 // The instruction folds eight little-endian bytes into the reflected
@@ -117,11 +143,15 @@ struct ZeroShift {
 __attribute__((target("sse4.2"))) std::uint32_t crc32c_update_sse42(
     std::uint32_t state, ByteSpan data) {
   constexpr std::size_t kBlock = kCrc32cStreamBlock;
+  static_assert(std::has_single_bit(kBlock));
   const std::uint8_t* p = data.data();
   std::size_t n = data.size();
   std::uint64_t crc = state;
   if (n >= 3 * kBlock) {
-    static const ZeroShift shift;
+    const ZeroShifts& shifts = zero_shifts();
+    const auto shift = [&](std::uint32_t v) {
+      return shifts(std::countr_zero(kBlock), v);
+    };
     for (; n >= 3 * kBlock; p += 3 * kBlock, n -= 3 * kBlock) {
       std::uint64_t b = 0;
       std::uint64_t c = 0;

@@ -24,8 +24,10 @@
 // register over A|B|C equals shift(shift(a) ^ b) ^ c, where a is the
 // register carried over A, b and c are registers started from zero over
 // B and C, and shift advances a register over one block of zero bytes.
-// shift is a fixed linear map on 32 bits, kept as a table of four
-// byte-indexed parts built once from the images of the 32 single bits.
+// A shift over n zero bytes multiplies the register by x^(8n) modulo the
+// polynomial, a linear map on 32 bits: crc32c_shift applies it for any n
+// from tables of the maps for n = 2^k, built once, and crc32c_combine
+// joins registers computed apart the same way the fold does.
 // The fold is an identity, not an approximation, so the result equals the
 // slice-by-8 walk's bit for bit; shorter inputs and the tail after the
 // last three blocks run one chain, as before.
@@ -47,6 +49,21 @@ std::uint32_t crc32c(ByteSpan data);
 inline constexpr std::uint32_t kCrc32cInit = 0xFFFFFFFFu;
 std::uint32_t crc32c_update(std::uint32_t state, ByteSpan data);
 inline std::uint32_t crc32c_finalize(std::uint32_t state) { return ~state; }
+
+/// The register after `n` zero bytes, started from `state`: what
+/// crc32c_update(state, <n zero bytes>) returns, computed in O(log n) steps
+/// as a multiply by x^(8n) modulo the polynomial (zlib's method).
+std::uint32_t crc32c_shift(std::uint32_t state, std::uint64_t n);
+
+/// The register over A|B, from the register `a` over A (from any start)
+/// and the register `b` over B started from zero:
+/// crc32c_update(s, A|B) == crc32c_combine(crc32c_update(s, A),
+/// crc32c_update(0, B), |B|). Lets pieces of one buffer be checksummed
+/// apart, on different threads, and joined afterwards.
+inline std::uint32_t crc32c_combine(std::uint32_t a, std::uint32_t b,
+                                    std::uint64_t len_b) {
+  return crc32c_shift(a, len_b) ^ b;
+}
 
 /// Block of each of the SSE4.2 path's three streams: inputs of at least
 /// 3 * kCrc32cStreamBlock bytes run three chains. A caller that checksums

@@ -5,6 +5,7 @@
 #include <memory>
 
 #include "common/check.h"
+#include "common/crc32c.h"
 #include "common/thread_pool.h"
 
 namespace aic::storage {
@@ -183,36 +184,41 @@ void MultiLevelStore::repair_raid_group() {
 
 namespace {
 
-/// One record of a recovery window: fetched into `wire`, then parsed
-/// into `file`, or the error its read or parse threw. `size` is unset for
-/// a record the target does not hold.
+/// One record of a recovery window: fetched into `wire`, then parsed in
+/// place into `file`, or the error its read or parse threw. `size` is unset
+/// for a record the target does not hold.
 struct Fetched {
   std::string key;
   std::optional<std::uint64_t> size;
-  std::unique_ptr<std::uint8_t[]> wire;
+  std::shared_ptr<std::uint8_t[]> wire;
+  std::uint32_t crc = 0;  // a segmented record's register from zero
   ckpt::CheckpointFile file;
   std::exception_ptr error;
 };
 
 /// One item of a window's read: a whole record, read and parsed, or the
-/// segment of a large record that starts at `at`.
+/// `len` bytes of a large record that start at `at`, read and checksummed
+/// into `crc`, or the error either threw.
 struct FetchStep {
   std::size_t record;
   bool whole;
   std::uint64_t at = 0;
+  std::uint64_t len = 0;
+  std::uint32_t crc = 0;
+  std::exception_ptr error = nullptr;
 };
 
 /// Fetches and parses a window's records, on the shared pool when the
-/// window is large. A record of at most one segment is one item: read, then
-/// parsed while its bytes are still in cache. A larger one is read by
-/// segment, so a RAID group reassembles it by stripe range, and then parsed
-/// whole on the calling thread. Checksumming and copying it by segment
-/// too was measured and left out: its payload buffer would need a
-/// zero-fill first, and with the fill the 8.39 MB full record of a
-/// restart parsed in 1.09 ms on three participants against 1.22 ms whole.
-/// The wire buffers are allocated on the calling thread, as is a large
-/// record's payload: glibc keeps a freed block in the arena of the thread
-/// that allocated it.
+/// window is large. Every record is parsed in place in its wire buffer,
+/// which its payload then keeps alive: no payload byte is copied. A record
+/// of at most one segment is one item: read, then parsed while its bytes
+/// are still in cache. A larger one is read by segment, so a RAID group
+/// reassembles it by stripe range, and each segment's item checksums it
+/// (crc32c_update from zero) straight after reading it, while its bytes
+/// are in cache; the calling thread then combines the segments' registers
+/// and parses the record, which reads only its header. The wire buffers
+/// are allocated on the calling thread: glibc keeps a freed block in the
+/// arena of the thread that allocated it.
 void fetch_window(const StorageTarget& target, std::vector<Fetched>& window) {
   std::uint64_t bytes = 0;
   std::vector<FetchStep> steps;
@@ -221,49 +227,46 @@ void fetch_window(const StorageTarget& target, std::vector<Fetched>& window) {
     f.size = target.object_size(f.key);
     if (!f.size.has_value()) continue;
     bytes += *f.size;
-    f.wire = std::make_unique_for_overwrite<std::uint8_t[]>(*f.size);
+    f.wire = std::make_shared_for_overwrite<std::uint8_t[]>(*f.size);
     if (*f.size <= kSegmentBytes) {
-      steps.push_back({r, true});
+      steps.push_back({r, true, 0, *f.size});
       continue;
     }
     for (std::uint64_t at = 0; at < *f.size; at += kSegmentBytes)
-      steps.push_back({r, false, at});
+      steps.push_back({r, false, at, std::min(kSegmentBytes, *f.size - at)});
   }
   const std::size_t participants =
       common::restore_participants(bytes, kMinBytesPerParticipant);
-  std::vector<std::exception_ptr> errors(steps.size());
   common::parallel_for(steps.size(), participants, [&](std::size_t i) {
-    const FetchStep& step = steps[i];
+    FetchStep& step = steps[i];
     Fetched& f = window[step.record];
+    const std::span<std::uint8_t> range(f.wire.get() + step.at, step.len);
     try {
+      target.read_range(f.key, step.at, range);
       if (step.whole) {
-        target.read_range(f.key, 0, {f.wire.get(), *f.size});
-        f.file = ckpt::CheckpointFile::parse({f.wire.get(), *f.size});
-        f.wire.reset();
+        f.file = ckpt::CheckpointFile::parse(SharedBytes(f.wire, range));
       } else {
-        target.read_range(
-            f.key, step.at,
-            {f.wire.get() + step.at,
-             std::size_t(std::min(kSegmentBytes, *f.size - step.at))});
+        step.crc = crc32c_update(0, range);
       }
     } catch (...) {
-      errors[i] = std::current_exception();
+      step.error = std::current_exception();
     }
   });
   // A record's first error in step order is the one a whole read and
   // parse would have thrown.
-  for (std::size_t i = 0; i < steps.size(); ++i) {
-    Fetched& f = window[steps[i].record];
-    if (errors[i] && !f.error) f.error = errors[i];
+  for (const FetchStep& step : steps) {
+    Fetched& f = window[step.record];
+    if (step.error && !f.error) f.error = step.error;
+    if (!step.whole) f.crc = crc32c_combine(f.crc, step.crc, step.len);
   }
   for (Fetched& f : window) {
     if (!f.size.has_value() || *f.size <= kSegmentBytes || f.error) continue;
     try {
-      f.file = ckpt::CheckpointFile::parse({f.wire.get(), *f.size});
+      f.file = ckpt::CheckpointFile::parse(
+          SharedBytes(f.wire, {f.wire.get(), *f.size}), f.crc);
     } catch (...) {
       f.error = std::current_exception();
     }
-    f.wire.reset();
   }
 }
 

@@ -4,8 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <limits>
+#include <optional>
+#include <sstream>
+#include <string>
 
 #include "ckpt/checkpoint_file.h"
 #include "ckpt/checkpointer.h"
@@ -360,6 +364,7 @@ TEST_F(ChainFixture, CaptureAndCapturePagesWriteIdenticalFiles) {
 namespace format {
 constexpr std::uint64_t kMagicV1 = 0x31544B4343494141ULL;  // "AICCKPT1"
 constexpr std::uint64_t kMagicV2 = 0x32544B4343494141ULL;  // "AICCKPT2"
+constexpr std::uint64_t kMagicV3 = 0x33544B4343494141ULL;  // "AICCKPT3"
 }  // namespace format
 
 /// Wraps a hand-built body in the v1 framing (no checksum) — the easiest
@@ -404,6 +409,22 @@ TEST(CheckpointFileV2, SerializeEmitsChecksummedV2) {
   EXPECT_EQ(CheckpointFile::parse(wire).version, CheckpointFile::kVersionV2);
 }
 
+TEST(CheckpointFileV2, SerializeChecksumsMagicAndBodyOfV3Records) {
+  // v3's CRC-32C runs over the magic and then the body, skipping the CRC
+  // field: pinned to that definition, not to what parse() accepts.
+  CheckpointFile f;
+  f.kind = CheckpointKind::kIncrementalCorrecting;
+  f.sequence = 3;
+  f.payload = {1, 2, 3};
+  const Bytes wire = f.serialize();
+  ByteReader r(wire);
+  EXPECT_EQ(r.u64(), format::kMagicV3);
+  const std::uint32_t magic =
+      crc32c_update(kCrc32cInit, ByteSpan(wire).first(8));
+  EXPECT_EQ(r.u32(), crc32c_finalize(
+                         crc32c_update(magic, ByteSpan(wire).subspan(12))));
+}
+
 TEST(CheckpointFileV2, ParsesV1Records) {
   // A v1 record as the seed wrote them: body with no checksum field.
   Bytes body;
@@ -442,8 +463,9 @@ std::vector<Bytes> checksummed_records() {
     f.sequence = 42;
     f.cpu_state = {1, 2, 3};
     f.freed_pages = {5, 6, 300};
-    f.payload.resize(3 * kCrc32cStreamBlock + 1000);
-    for (auto& b : f.payload) b = std::uint8_t(rng());
+    Bytes payload(3 * kCrc32cStreamBlock + 1000);
+    for (auto& b : payload) b = std::uint8_t(rng());
+    f.payload = std::move(payload);
     wires.push_back(f.serialize());
   }
   return wires;
@@ -501,6 +523,137 @@ TEST(CheckpointFileV2, ChecksumErrorNamesOffsetAndSequence) {
     EXPECT_NE(what.find("checksum mismatch at offset 8"), std::string::npos)
         << what;
     EXPECT_NE(what.find("claims sequence 42"), std::string::npos) << what;
+  }
+}
+
+// ---------- the span parse and the shared-buffer parse agree ----------
+
+/// The fields a parse returned, or the type and message of what it threw.
+template <class Parse>
+std::string parse_outcome(Parse parse) {
+  try {
+    const CheckpointFile f = parse();
+    std::ostringstream out;
+    out << 'v' << int(f.version) << ' ' << to_string(f.kind) << " sequence "
+        << f.sequence << " time " << std::bit_cast<std::uint64_t>(f.app_time)
+        << " cpu " << std::string(f.cpu_state.begin(), f.cpu_state.end())
+        << " freed";
+    for (mem::PageId id : f.freed_pages) out << ' ' << id;
+    out << " payload " << std::string(f.payload.begin(), f.payload.end());
+    return out.str();
+  } catch (const UnsupportedFormatError& e) {
+    return std::string("UnsupportedFormatError: ") + e.what();
+  } catch (const CheckError& e) {
+    return std::string("CheckError: ") + e.what();
+  }
+}
+
+/// crc32c_update(0, record) as a reader computes it piecewise: `segment`
+/// bytes at a time, each from zero, joined with crc32c_combine.
+std::uint32_t register_by_segment(ByteSpan record, std::size_t segment) {
+  std::uint32_t crc = 0;
+  for (std::size_t at = 0; at < record.size(); at += segment) {
+    const ByteSpan piece =
+        record.subspan(at, std::min(segment, record.size() - at));
+    crc = crc32c_combine(crc, crc32c_update(0, piece), piece.size());
+  }
+  return crc;
+}
+
+/// Whether parse(ByteSpan), the shared-buffer parse computing its own
+/// register and the shared-buffer parse given the register combined
+/// `segment` bytes at a time return the same fields, or throw the same
+/// exception type with the same message.
+::testing::AssertionResult entries_agree(ByteSpan wire, std::size_t segment) {
+  const std::string want =
+      parse_outcome([&] { return CheckpointFile::parse(wire); });
+  const SharedBytes shared(Bytes(wire.begin(), wire.end()));
+  const std::uint32_t crc = register_by_segment(wire, segment);
+  for (const std::optional<std::uint32_t> given :
+       {std::optional<std::uint32_t>(), std::optional<std::uint32_t>(crc)}) {
+    const std::string got =
+        parse_outcome([&] { return CheckpointFile::parse(shared, given); });
+    if (got != want) {
+      return ::testing::AssertionFailure()
+             << (given ? "given the register" : "computing the register")
+             << "\n got:  " << got.substr(0, 300)
+             << "\n want: " << want.substr(0, 300);
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// A record of the given kind (v2 for a delta, v3 for a correcting one)
+/// with a CPU state, freed pages and a payload of `payload_bytes`.
+Bytes record_of(CheckpointKind kind, std::size_t payload_bytes, Rng& rng) {
+  CheckpointFile f;
+  f.kind = kind;
+  f.sequence = 300;
+  f.app_time = 4.25;
+  f.cpu_state = {7, 8, 9};
+  f.freed_pages = {5, 6, 300};
+  Bytes payload(payload_bytes);
+  for (auto& b : payload) b = std::uint8_t(rng());
+  f.payload = std::move(payload);
+  return f.serialize();
+}
+
+TEST(CheckpointFileShared, EntriesAgreeOnEveryFlipAndCutOfASmallRecord) {
+  Rng rng(31);
+  for (CheckpointKind kind : {CheckpointKind::kIncrementalDelta,
+                              CheckpointKind::kIncrementalCorrecting}) {
+    const Bytes wire = record_of(kind, 20, rng);
+    ASSERT_TRUE(entries_agree(wire, 5));
+    Bytes bad = wire;
+    for (std::size_t off = 0; off < wire.size(); ++off) {
+      for (const unsigned flip : {1, 2, 4, 8, 16, 32, 64, 128, 255}) {
+        bad[off] ^= std::uint8_t(flip);
+        ASSERT_TRUE(entries_agree(bad, 5))
+            << "offset " << off << " flip " << flip;
+        bad[off] ^= std::uint8_t(flip);
+      }
+    }
+    for (std::size_t keep = 0; keep < wire.size(); ++keep)
+      ASSERT_TRUE(entries_agree(ByteSpan(wire).first(keep), 5))
+          << "truncated to " << keep;
+  }
+}
+
+TEST(CheckpointFileShared, EntriesAgreeOnALargeRecordBySegment) {
+  // Four 768 KiB segments, as a recovery reads a record this large: flips
+  // in every header byte (the version digit, the CRC field and each
+  // varint) and in the first and last byte of every segment.
+  constexpr std::size_t kSegment = 768 * 1024;
+  Rng rng(32);
+  for (CheckpointKind kind :
+       {CheckpointKind::kFull, CheckpointKind::kIncrementalCorrecting}) {
+    const Bytes wire = record_of(kind, 3 * kSegment + 1000, rng);
+    ASSERT_GE(wire.size(), 3 * kSegment);
+    ASSERT_TRUE(entries_agree(wire, kSegment));
+    ByteReader r(wire);
+    (void)r.raw(13);           // magic, CRC, kind
+    (void)r.varint();          // sequence
+    (void)r.f64();             // app time
+    (void)r.raw(r.varint());   // CPU state
+    for (std::uint64_t n = r.varint(); n > 0; --n) (void)r.varint();  // freed
+    (void)r.varint();          // payload length
+    std::vector<std::pair<std::size_t, unsigned>> flips;
+    for (std::size_t off = 0; off < r.pos(); ++off) {
+      flips.emplace_back(off, 0x01);
+      flips.emplace_back(off, 0xFF);
+    }
+    for (unsigned bit = 1; bit < 7; ++bit) flips.emplace_back(7, 1u << bit);
+    for (std::size_t at = 0; at < wire.size(); at += kSegment) {
+      flips.emplace_back(at, 0xFF);
+      flips.emplace_back(std::min(at + kSegment, wire.size()) - 1, 0xFF);
+    }
+    Bytes bad = wire;
+    for (const auto& [off, flip] : flips) {
+      bad[off] ^= std::uint8_t(flip);
+      ASSERT_TRUE(entries_agree(bad, kSegment))
+          << "offset " << off << " flip " << flip;
+      bad[off] ^= std::uint8_t(flip);
+    }
   }
 }
 
@@ -664,7 +817,7 @@ TEST_F(RestoreErrorPaths, BadCrcRecordFailsNamingTheSequence) {
 
 TEST_F(RestoreErrorPaths, UndecodableDeltaNamesTheSequence) {
   auto chain = make_chain();
-  chain[2].payload.assign(48, 0xC3);  // garbage delta body
+  chain[2].payload = Bytes(48, 0xC3);  // garbage delta body
   const std::string what = restore_error(chain);
   ASSERT_FALSE(what.empty()) << "restore accepted a garbage delta";
   EXPECT_NE(what.find("restoring sequence 2"), std::string::npos) << what;

@@ -447,5 +447,54 @@ TEST(Crc32c, ThreeStreamPathMatchesSliceBy8) {
 #endif
 }
 
+TEST(Crc32c, CombineMatchesOneStream) {
+  // Random splits A|B of a buffer, from random start registers, with |B|
+  // at the lengths a piecewise reader meets (empty, a byte, a word either
+  // side, a record header, three stream rounds and one byte either side, a
+  // 768 KiB recovery segment) and at random ones: on every updater the
+  // register over A|B is the combine of A's and of B's from zero.
+  constexpr std::size_t kRound = 3 * kCrc32cStreamBlock;
+  constexpr std::size_t kSegment = 768 * 1024;
+  Rng rng(15);
+  Bytes data(kSegment + 3 * kRound);
+  for (auto& b : data) b = std::uint8_t(rng());
+  std::vector<std::size_t> lengths = {0,          1,      7,          8, 12,
+                                      kRound - 1, kRound, kRound + 1, kSegment};
+  for (int i = 0; i < 24; ++i) lengths.push_back(rng.uniform_u64(data.size()));
+  std::vector<Crc32cUpdater> updaters = {detail::crc32c_update_slice8};
+#if defined(__x86_64__)
+  if (__builtin_cpu_supports("sse4.2"))
+    updaters.push_back(detail::crc32c_update_sse42);
+#endif
+  for (const Crc32cUpdater update : updaters) {
+    for (const std::size_t len_b : lengths) {
+      const std::size_t len_a = rng.uniform_u64(data.size() - len_b + 1);
+      const std::uint32_t start = std::uint32_t(rng());
+      const ByteSpan ab = ByteSpan(data).first(len_a + len_b);
+      ASSERT_EQ(update(start, ab),
+                crc32c_combine(update(start, ab.first(len_a)),
+                               update(0, ab.subspan(len_a)), len_b))
+          << "|A| " << len_a << " |B| " << len_b << " start " << start;
+    }
+  }
+
+  // A shift is the register over that many zero bytes, and shifts add, up
+  // to lengths no buffer reaches.
+  const Bytes zeros(kRound + 5, 0);
+  for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{7},
+                              std::size_t{12}, kRound + 5}) {
+    const std::uint32_t s = std::uint32_t(rng());
+    ASSERT_EQ(crc32c_shift(s, n), crc32c_bitwise(s, ByteSpan(zeros).first(n)))
+        << "length " << n;
+  }
+  for (int i = 0; i < 200; ++i) {
+    const std::uint32_t s = std::uint32_t(rng());
+    const std::uint64_t m = rng() >> (1 + rng.uniform_u64(63));
+    const std::uint64_t n = rng() >> (1 + rng.uniform_u64(63));
+    ASSERT_EQ(crc32c_shift(crc32c_shift(s, m), n), crc32c_shift(s, m + n))
+        << "m " << m << " n " << n;
+  }
+}
+
 }  // namespace
 }  // namespace aic

@@ -60,7 +60,7 @@ TEST(MultiLevelStore, PlacementReachesAllLevelsWithSaneTimes) {
   EXPECT_GT(store.remote().stored_bytes(), 0u);
   // Remote is the slow path.
   ckpt::CheckpointFile probe;
-  probe.payload.assign(1000000, 7);
+  probe.payload = Bytes(1000000, 7);
   const auto times = store.put_checkpoint(probe);
   EXPECT_GT(times.remote, times.local);
   EXPECT_GT(times.remote, times.raid);
@@ -208,7 +208,7 @@ TEST(MultiLevelStore, RecoveryWalksPastAnInterruptedDrainOnce) {
 /// long, the last one partly filled.
 ckpt::CheckpointFile record_of_chunks(std::size_t chunks) {
   ckpt::CheckpointFile f;
-  f.payload.assign(chunks * MultiLevelConfig{}.xfer.chunk_bytes - 1000, 0x5A);
+  f.payload = Bytes(chunks * MultiLevelConfig{}.xfer.chunk_bytes - 1000, 0x5A);
   return f;
 }
 
@@ -264,6 +264,68 @@ TEST(MultiLevelStore, DrainLeavesOnlyTheStoredCopies) {
   EXPECT_LE(cost.live_bytes, stored + kSlack)
       << "the drains left " << cost.live_bytes << " B live for " << stored
       << " B stored";
+}
+
+// ---------- recovery byte path: each record's bytes held once ----------
+
+TEST(MultiLevelStore, RecoveryHoldsEachRecordOnceAndCopiesShareIt) {
+  // A 300-page full (1.2 MB, read in two segments) and eight small
+  // incrementals: 1.23 MB stored, under two 1 MiB participants, so the
+  // recovery runs on this thread and the heap counters see all of it. A
+  // record's payload views the buffer the record was read into, so the
+  // peak is the stored bytes plus bookkeeping; a parse that copied the
+  // payload out would add the full record's 1.2 MB.
+  constexpr std::size_t kPages = 300;
+  MultiLevelStore store;
+  Rng rng(0x9A5);
+  mem::AddressSpace space;
+  space.allocate_range(0, kPages);
+  for (mem::PageId id = 0; id < kPages; ++id) {
+    space.mutate(id, [&](std::span<std::uint8_t> b) {
+      for (auto& x : b) x = std::uint8_t(rng());
+    });
+  }
+  ckpt::CheckpointChain chain;
+  std::uint64_t stored = 0;
+  for (int i = 0; i <= 8; ++i) {
+    for (int e = 0; i > 0 && e < 10; ++e) {
+      Bytes edit(16);
+      for (auto& x : edit) x = std::uint8_t(rng());
+      space.write(rng.uniform_u64(kPages), rng.uniform_u64(kPageSize - 16),
+                  edit);
+    }
+    chain.capture(space, {}, double(i));
+    space.protect_all();
+    store.put_checkpoint(chain.files().back());
+    stored += chain.files().back().serialized_size();
+  }
+  ASSERT_LT(stored, std::uint64_t(2) << 20) << "the recovery would split";
+  Rng failure(4);
+  for (const int level : {1, 2}) {
+    if (level == 2) store.apply_failure(2, failure);
+    const std::uint64_t live0 = testing::heap_stats().live_bytes;
+    testing::reset_heap_peak();
+    const auto rec = store.recover();
+    const std::uint64_t peak = testing::heap_stats().peak_bytes - live0;
+    ASSERT_TRUE(rec.has_value());
+    ASSERT_EQ(rec->level_used, level);
+    ASSERT_EQ(rec->chain.size(), chain.files().size());
+    constexpr std::uint64_t kSlack = 16 * 1024;
+    EXPECT_LE(peak, stored + kSlack)
+        << "level " << level << ": peak " << peak << " B for " << stored
+        << " B stored";
+
+    // A copy shares the payload: copying the full record allocates no
+    // block of its size.
+    const ckpt::CheckpointFile& full = rec->chain.front();
+    const testing::HeapStats before = testing::heap_stats();
+    const ckpt::CheckpointFile copy = full;
+    const testing::HeapStats after = testing::heap_stats();
+    EXPECT_LT(after.live_bytes - before.live_bytes, full.payload.size() / 64)
+        << "level " << level;
+    EXPECT_EQ(copy.payload.data(), full.payload.data());
+    EXPECT_EQ(copy.serialize(), chain.files().front().serialize());
+  }
 }
 
 // ---------- rewind-window reclamation ----------

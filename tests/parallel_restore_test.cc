@@ -329,9 +329,17 @@ TEST(ParallelRestore, MalformedChainsThrowTheSerialMessage) {
   with("repeated sequence", [](auto& c) { c[3].sequence = 2; });
   with("no leading full", [](auto& c) { c.erase(c.begin()); });
   with("empty", [](auto& c) { c.clear(); });
-  with("garbage delta", [](auto& c) { c[4].payload.assign(48, 0xC3); });
-  with("garbage full", [](auto& c) { c[0].payload.resize(5000); });
-  with("truncated delta", [](auto& c) { c[2].payload.pop_back(); });
+  with("garbage delta", [](auto& c) { c[4].payload = Bytes(48, 0xC3); });
+  with("garbage full", [](auto& c) {
+    Bytes payload(c[0].payload.begin(), c[0].payload.end());
+    payload.resize(5000);
+    c[0].payload = std::move(payload);
+  });
+  with("truncated delta", [](auto& c) {
+    Bytes payload(c[2].payload.begin(), c[2].payload.end());
+    payload.pop_back();
+    c[2].payload = std::move(payload);
+  });
   with("page named twice", [&](auto& c) {
     c.resize(1);
     c.push_back(edited_record(full_state, {0, 0}, 1));
@@ -345,8 +353,10 @@ TEST(ParallelRestore, MalformedChainsThrowTheSerialMessage) {
     CheckpointFile f = edited_record(full_state, {5, 40}, 1);
     // The record for page 40 ends the payload: overwrite its delta body
     // with bytes no XDelta3 stream starts with.
-    for (std::size_t i = f.payload.size() - 6; i < f.payload.size(); ++i)
-      f.payload[i] = 0xFF;
+    Bytes payload(f.payload.begin(), f.payload.end());
+    for (std::size_t i = payload.size() - 6; i < payload.size(); ++i)
+      payload[i] = 0xFF;
+    f.payload = std::move(payload);
     c.push_back(std::move(f));
   });
   with("delta for a page not in the image", [&](auto& c) {
@@ -368,13 +378,15 @@ TEST(ParallelRestore, MalformedChainsThrowTheSerialMessage) {
     CheckpointFile f;
     f.kind = CheckpointKind::kIncrementalCorrecting;
     f.sequence = 1;
-    ByteWriter w(f.payload);
+    Bytes payload;
+    ByteWriter w(payload);
     w.varint(1);
     w.varint(62);
     w.u8(3);  // cdelta
     w.varint(63);
     w.varint(4);
     w.raw(Bytes{1, 2, 3, 4});
+    f.payload = std::move(payload);
     c.push_back(std::move(f));
   });
 

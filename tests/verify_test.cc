@@ -182,7 +182,9 @@ TEST(ChainVerifier, GarbagePayloadBehindValidCrcIsCaught) {
   for (std::size_t rec = 1; rec < records.size(); ++rec) {
     auto corrupted = records;
     CheckpointFile f = CheckpointFile::parse(corrupted[rec]);
-    for (auto& b : f.payload) b = std::uint8_t(rng());
+    Bytes garbage(f.payload.size());
+    for (auto& b : garbage) b = std::uint8_t(rng());
+    f.payload = std::move(garbage);
     corrupted[rec] = f.serialize();  // recomputes a *valid* checksum
     const Report report = verify_never_throws(corrupted);
     ASSERT_FALSE(report.ok()) << "garbage payload survived at " << rec;
@@ -224,7 +226,7 @@ TEST(ChainVerifier, PayloadNamingAPageTwiceIsUndecodable) {
 TEST(ChainVerifier, GarbageFullPayloadIsCaught) {
   auto records = build_chain(3, 11);
   CheckpointFile f = CheckpointFile::parse(records[0]);
-  f.payload.assign(100, 0xAB);
+  f.payload = Bytes(100, 0xAB);
   records[0] = f.serialize();
   const Report report = verify_never_throws(records);
   EXPECT_FALSE(report.ok());
@@ -267,7 +269,9 @@ TEST(ChainVerifier, MidChainFullReanchorsReplayAfterFault) {
   // next full must re-anchor replay so later records are fully checked.
   CheckpointFile f = CheckpointFile::parse(records[1]);
   Rng rng(7);
-  for (auto& b : f.payload) b = std::uint8_t(rng());
+  Bytes garbage(f.payload.size());
+  for (auto& b : garbage) b = std::uint8_t(rng());
+  f.payload = std::move(garbage);
   records[1] = f.serialize();
   const Report report = verify_never_throws(records);
   EXPECT_FALSE(report.ok());
@@ -355,7 +359,9 @@ TEST(ChainVerifier, CorrectingGarbagePayloadBehindValidCrcIsCaught) {
   for (std::size_t rec = 1; rec < records.size(); ++rec) {
     auto corrupted = records;
     CheckpointFile f = CheckpointFile::parse(corrupted[rec]);
-    for (auto& b : f.payload) b = std::uint8_t(rng());
+    Bytes garbage(f.payload.size());
+    for (auto& b : garbage) b = std::uint8_t(rng());
+    f.payload = std::move(garbage);
     corrupted[rec] = f.serialize();  // valid v3 checksum over garbage
     const Report report = verify_never_throws(corrupted);
     ASSERT_FALSE(report.ok()) << "garbage cdelta survived at " << rec;
@@ -457,8 +463,9 @@ TEST(ChainVerifier, InjectionMatrixNeverCrashesNeverFalseAccepts) {
         case Fault::kGarbagePayload: {
           const std::size_t rec = rng.uniform_u64(records.size());
           CheckpointFile f = CheckpointFile::parse(records[rec]);
-          f.payload.resize(64 + rng.uniform_u64(256));
-          for (auto& b : f.payload) b = std::uint8_t(rng());
+          Bytes garbage(64 + rng.uniform_u64(256));
+          for (auto& b : garbage) b = std::uint8_t(rng());
+          f.payload = std::move(garbage);
           records[rec] = f.serialize();
           break;
         }
